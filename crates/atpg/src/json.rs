@@ -2,7 +2,9 @@
 //! bounded parser.
 //!
 //! The identification service and the `untestable --json` report share one
-//! response schema; this module is the only JSON machinery behind both. The
+//! response schema; this module is the only JSON machinery behind both. It
+//! lives in the engine crate so engine results such as the
+//! [`EngineBreakdown`](crate::proof::EngineBreakdown) serialize themselves. The
 //! parser is written for hostile input — it is fed raw HTTP bodies — so it
 //! never recurses past [`MAX_DEPTH`], never panics, reports every rejection
 //! with a byte offset, and refuses trailing garbage.

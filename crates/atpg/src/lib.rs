@@ -24,7 +24,8 @@
 //!   constraint-aware PODEM out across worker threads and escalates aborted
 //!   searches to the SAT backend (the PODEM/SAT portfolio);
 //! * **SCOAP** testability measures ([`scoap`]);
-//! * random + deterministic **test-generation campaigns** ([`tpg`]).
+//! * a dependency-free **JSON** value ([`json`]) that the proof engine's
+//!   result types serialize themselves with.
 //!
 //! # Examples
 //!
@@ -63,12 +64,12 @@ pub mod cnf;
 pub mod compiled;
 pub mod constant;
 pub mod fault_sim;
+pub mod json;
 pub mod logic;
 pub mod podem;
 pub mod proof;
 pub mod scoap;
 pub mod sim;
-pub mod tpg;
 
 pub use analysis::{AnalysisConfig, AnalysisOutcome, StructuralAnalysis};
 pub use budget::{AbortReason, Budget, CancelToken, FailurePlan};
@@ -80,9 +81,8 @@ pub use fault_sim::{FaultSim, FaultSimOutcome, InputVector};
 pub use logic::Logic;
 pub use podem::{Podem, PodemConfig, PodemOutcome, ProofOutcome, TestPattern};
 pub use proof::{
-    prove_faults, prove_faults_campaign, prove_faults_with_engines, CampaignOutcome,
-    EngineBreakdown, EngineOutcome, ProofConfig, ProofEngine, ProofStats,
+    prove_faults, CampaignOptions, CampaignOutcome, EngineBreakdown, EngineOutcome, ProofConfig,
+    ProofEngine,
 };
 pub use scoap::{compute_scoap, Scoap, SCOAP_INFINITY};
 pub use sim::{CombSim, SeqSim};
-pub use tpg::{run_campaign, TpgConfig, TpgOutcome};

@@ -5,7 +5,7 @@
 //! proof backend agrees with unlimited-budget PODEM and with exhaustive
 //! enumeration under random mission constraints.
 
-use atpg::proof::{prove_faults, ProofConfig};
+use atpg::proof::{prove_faults, CampaignOptions, ProofConfig};
 use atpg::{
     analysis::StructuralAnalysis, constant::propagate_constants, CombSim, ConstraintSet, FaultSim,
     InputVector, Logic, Podem, PodemConfig, PodemOutcome, ProofOutcome, SatProver, SatVerdict,
@@ -15,6 +15,28 @@ use faultmodel::{collapse, FaultClass, FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Proves `faults` with no budget and no checkpoint, dropping the engine
+/// attribution.
+fn verdicts(
+    netlist: &Netlist,
+    constraints: &ConstraintSet,
+    faults: &[StuckAt],
+    config: &ProofConfig,
+) -> Vec<ProofOutcome> {
+    prove_faults(
+        netlist,
+        constraints,
+        faults,
+        config,
+        &CampaignOptions::default(),
+    )
+    .unwrap()
+    .outcomes
+    .into_iter()
+    .map(|r| r.outcome)
+    .collect()
+}
 
 /// Builds a small combinational circuit whose shape is driven by `spec`:
 /// each entry adds a gate over two pseudo-randomly chosen existing signals.
@@ -346,13 +368,12 @@ proptest! {
             .copied()
             .take(80)
             .collect();
-        let outcomes = prove_faults(
+        let outcomes = verdicts(
             &netlist,
             &constraints,
             &faults,
             &ProofConfig { backtrack_limit: 10_000, threads: 1, ..ProofConfig::default() },
-        )
-        .unwrap();
+        );
         let proven: Vec<StuckAt> = faults
             .iter()
             .zip(&outcomes)
@@ -562,7 +583,7 @@ proptest! {
             constraints.tie_net(internal[internal_pick as usize % internal.len()], internal_value);
         }
         let faults = FaultList::full_universe(&netlist).faults().to_vec();
-        let scheduled = prove_faults(
+        let scheduled = verdicts(
             &netlist,
             &constraints,
             &faults,
@@ -572,9 +593,8 @@ proptest! {
                 use_collapse: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
-        let individual = prove_faults(
+        );
+        let individual = verdicts(
             &netlist,
             &constraints,
             &faults,
@@ -584,8 +604,7 @@ proptest! {
                 use_collapse: false,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         prop_assert_eq!(scheduled, individual);
     }
 
@@ -720,7 +739,7 @@ fn proof_fanout_chunk_boundaries_match_per_fault_proofs() {
     );
     for count in [15usize, 16, 17, 64, 127] {
         for threads in [1usize, 2, 5] {
-            let got = prove_faults(
+            let got = verdicts(
                 &n,
                 &constraints,
                 &faults[..count],
@@ -729,8 +748,7 @@ fn proof_fanout_chunk_boundaries_match_per_fault_proofs() {
                     threads,
                     ..ProofConfig::default()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(
                 got,
                 reference[..count],

@@ -6,8 +6,9 @@
 //! faults the interrupted run never concluded.
 
 use atpg::{
-    campaign_fingerprint, prove_faults_campaign, AbortReason, Budget, CancelToken, Checkpoint,
-    ConstraintSet, FailurePlan, ProofConfig, ProofEngine, ProofOutcome, SatProver, SatVerdict,
+    campaign_fingerprint, prove_faults, AbortReason, Budget, CampaignOptions, CampaignOutcome,
+    CancelToken, Checkpoint, ConstraintSet, EngineBreakdown, FailurePlan, ProofConfig, ProofEngine,
+    ProofOutcome, SatProver, SatVerdict,
 };
 use faultmodel::{FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
@@ -67,6 +68,11 @@ impl Drop for TempCheckpoint {
     }
 }
 
+/// Whether any fault came back a timeout abort.
+fn deadline_hit(campaign: &CampaignOutcome) -> bool {
+    EngineBreakdown::from_outcomes(&campaign.outcomes).deadline_hit()
+}
+
 fn sequential_config() -> ProofConfig {
     ProofConfig {
         threads: 1,
@@ -88,13 +94,12 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
         }),
         ..sequential_config()
     };
-    let campaign = prove_faults_campaign(
+    let campaign = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
 
@@ -104,7 +109,7 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
 
     // Every other fault concluded exactly as a clean run concludes it: the
     // panic neither lost the campaign nor leaked poisoned engine state.
-    let clean = prove_faults_campaign(
+    let clean = prove_faults(
         &netlist,
         &constraints,
         &faults,
@@ -112,8 +117,7 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
             use_collapse: false,
             ..sequential_config()
         },
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
     for (i, (injected, reference)) in campaign.outcomes.iter().zip(&clean.outcomes).enumerate() {
@@ -138,11 +142,20 @@ fn injected_stall_is_cut_by_the_stage_deadline() {
         ..sequential_config()
     };
     let budget = Budget::unlimited().with_stage_timeout(Duration::from_millis(100));
-    let campaign =
-        prove_faults_campaign(&netlist, &constraints, &faults, &config, &budget, None).unwrap();
+    let campaign = prove_faults(
+        &netlist,
+        &constraints,
+        &faults,
+        &config,
+        &CampaignOptions {
+            budget,
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
     assert_eq!(campaign.outcomes[0].outcome, ProofOutcome::Aborted);
     assert_eq!(campaign.outcomes[0].reason, Some(AbortReason::Timeout));
-    assert!(campaign.deadline_hit);
+    assert!(deadline_hit(&campaign));
     // The stall consumed the whole stage budget, so everything after it is a
     // timeout abort too — and never a fabricated proof.
     for outcome in &campaign.outcomes[1..] {
@@ -164,13 +177,12 @@ fn stall_with_no_budget_limits_gives_up_instead_of_wedging() {
         }),
         ..sequential_config()
     };
-    let campaign = prove_faults_campaign(
+    let campaign = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
     assert_eq!(campaign.outcomes[1].reason, Some(AbortReason::Timeout));
@@ -233,16 +245,18 @@ fn pre_cancelled_token_aborts_the_whole_campaign_as_timeouts() {
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::unlimited().with_cancel(token);
-    let campaign = prove_faults_campaign(
+    let campaign = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &sequential_config(),
-        &budget,
-        None,
+        &CampaignOptions {
+            budget,
+            ..CampaignOptions::default()
+        },
     )
     .unwrap();
-    assert!(campaign.deadline_hit);
+    assert!(deadline_hit(&campaign));
     for outcome in &campaign.outcomes {
         assert_eq!(outcome.outcome, ProofOutcome::Aborted);
         assert_eq!(outcome.reason, Some(AbortReason::Timeout));
@@ -266,16 +280,15 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
     };
     let stall_at = faults.len() / 2;
 
-    let reference = prove_faults_campaign(
+    let reference = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
-    assert!(!reference.deadline_hit);
+    assert!(!deadline_hit(&reference));
 
     let path = TempCheckpoint::new("interrupt-resume");
     let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
@@ -292,7 +305,7 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
     let interrupted = {
         let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
         assert_eq!(checkpoint.loaded(), 0);
-        prove_faults_campaign(
+        prove_faults(
             &netlist,
             &constraints,
             &faults,
@@ -303,13 +316,15 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
                 }),
                 ..config
             },
-            &Budget::unlimited().with_cancel(token),
-            Some(&checkpoint),
+            &CampaignOptions {
+                budget: Budget::unlimited().with_cancel(token),
+                checkpoint: Some(&checkpoint),
+            },
         )
         .unwrap()
     };
     canceller.join().unwrap();
-    assert!(interrupted.deadline_hit);
+    assert!(deadline_hit(&interrupted));
     assert_eq!(
         interrupted.outcomes[stall_at].reason,
         Some(AbortReason::Timeout)
@@ -344,13 +359,15 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
         })
         .count();
     assert_eq!(checkpoint.loaded(), persisted);
-    let resumed = prove_faults_campaign(
+    let resumed = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        Some(&checkpoint),
+        &CampaignOptions {
+            checkpoint: Some(&checkpoint),
+            ..CampaignOptions::default()
+        },
     )
     .unwrap();
 
@@ -371,7 +388,7 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
             "fault {i} abort reason diverged"
         );
     }
-    assert!(!resumed.deadline_hit);
+    assert!(!deadline_hit(&resumed));
 }
 
 /// Resume also replays the collapse schedule: with collapsing on, a resumed
@@ -382,13 +399,12 @@ fn resume_replays_the_collapse_schedule() {
     let constraints = ConstraintSet::full_scan();
     let faults = universe(&netlist);
     let config = sequential_config(); // collapse on
-    let reference = prove_faults_campaign(
+    let reference = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
 
@@ -405,7 +421,7 @@ fn resume_replays_the_collapse_schedule() {
                 token.cancel();
             })
         };
-        prove_faults_campaign(
+        prove_faults(
             &netlist,
             &constraints,
             &faults,
@@ -416,21 +432,25 @@ fn resume_replays_the_collapse_schedule() {
                 }),
                 ..config
             },
-            &Budget::unlimited().with_cancel(token),
-            Some(&checkpoint),
+            &CampaignOptions {
+                budget: Budget::unlimited().with_cancel(token),
+                checkpoint: Some(&checkpoint),
+            },
         )
         .unwrap();
         canceller.join().unwrap();
     }
 
     let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-    let resumed = prove_faults_campaign(
+    let resumed = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &config,
-        &Budget::unlimited(),
-        Some(&checkpoint),
+        &CampaignOptions {
+            checkpoint: Some(&checkpoint),
+            ..CampaignOptions::default()
+        },
     )
     .unwrap();
     for (i, (merged, single)) in resumed.outcomes.iter().zip(&reference.outcomes).enumerate() {
@@ -448,26 +468,27 @@ fn fault_timeout_bounds_each_fault_but_not_the_campaign() {
     let faults = universe(&netlist);
     // A generous per-fault limit concludes everything; the budget machinery
     // along the hot path must not perturb verdicts.
-    let unbounded = prove_faults_campaign(
+    let unbounded = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &sequential_config(),
-        &Budget::unlimited(),
-        None,
+        &CampaignOptions::default(),
     )
     .unwrap();
-    let bounded = prove_faults_campaign(
+    let bounded = prove_faults(
         &netlist,
         &constraints,
         &faults,
         &sequential_config(),
-        &Budget::unlimited().with_fault_timeout(Duration::from_secs(30)),
-        None,
+        &CampaignOptions {
+            budget: Budget::unlimited().with_fault_timeout(Duration::from_secs(30)),
+            ..CampaignOptions::default()
+        },
     )
     .unwrap();
     assert_eq!(unbounded.outcomes, bounded.outcomes);
-    assert!(!bounded.deadline_hit);
+    assert!(!deadline_hit(&bounded));
     // Engine attribution sanity: the portfolio produced real work.
     assert!(bounded
         .outcomes

@@ -18,10 +18,11 @@
 //! editing the JSON files.
 
 use bench::{
-    industrial_soc, quick_pipeline_config, read_committed_f64, replay_faultsim_campaign, small_soc,
-    FAULTSIM_SAMPLE, FAULTSIM_SEED,
+    industrial_soc, quick_pipeline_config, replay_faultsim_campaign, small_soc, FAULTSIM_SAMPLE,
+    FAULTSIM_SEED,
 };
 use online_untestable::flow::IdentificationFlow;
+use online_untestable::JsonValue;
 use std::time::Instant;
 
 /// Gate threshold used when `BENCH_flow.json` does not record one.
@@ -42,7 +43,10 @@ impl Gate {
 fn read_reference(path: &str, section: &str, key: &str) -> f64 {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read committed numbers from {path}: {e}"));
-    read_committed_f64(&text, section, key)
+    let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    doc.get(section)
+        .and_then(|s| s.get(key))
+        .and_then(JsonValue::as_f64)
         .unwrap_or_else(|| panic!("{path} does not record {section}.{key}"))
 }
 
@@ -53,7 +57,8 @@ fn main() {
 
     let factor = std::fs::read_to_string(&flow_json)
         .ok()
-        .and_then(|text| read_committed_f64(&text, "perf_smoke", "regression_factor"))
+        .and_then(|text| JsonValue::parse(&text).ok())
+        .and_then(|doc| doc.get("perf_smoke")?.get("regression_factor")?.as_f64())
         .unwrap_or(DEFAULT_REGRESSION_FACTOR);
 
     println!("perf-smoke gate (fail when measured > {factor:.1}x committed)");

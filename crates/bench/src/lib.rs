@@ -8,7 +8,7 @@
 //! (`BENCH_faultsim.json`, `BENCH_flow.json`) and fails when the measured
 //! wall-clock regresses past the committed numbers — the CI perf gate.
 
-use atpg::proof::{prove_faults_with_engines, EngineBreakdown, ProofConfig};
+use atpg::proof::{prove_faults, CampaignOptions, EngineBreakdown, EngineOutcome, ProofConfig};
 use atpg::{ConstraintSet, FaultSim, ProofOutcome, SatProver, SatVerdict};
 use cpu::sbst::{standard_suite, suite_stimuli};
 use cpu::soc::{Soc, SocBuilder};
@@ -175,9 +175,9 @@ impl ProofResult {
 /// `sat_throughput` benches and the third and fourth `perf_smoke` gates: the
 /// staged pipeline on the reduced SoC is run up to (and including) the SBST
 /// simulation once, outside the measured region; the measured region is a
-/// single-threaded [`prove_faults_with_engines`] over the **full** survivor
-/// set under the mission constraints — the same worklist and engine
-/// configuration the `BENCH_flow.json` pipeline's `atpg-proof` stage uses.
+/// single-threaded [`prove_faults`] over the **full** survivor set under the
+/// mission constraints — the same worklist and engine configuration the
+/// `BENCH_flow.json` pipeline's `atpg-proof` stage uses.
 pub struct ProofCampaign {
     soc: Soc,
     faults: Vec<StuckAt>,
@@ -254,17 +254,11 @@ impl ProofCampaign {
     /// which is bench-prohibitive for a smoke gate; the slice keeps the
     /// per-fault cost representative while bounding the measured region.
     pub fn sat_escalation_worklist(&self) -> Vec<StuckAt> {
-        let outcomes = prove_faults_with_engines(
-            &self.soc.netlist,
-            &self.constraints,
-            &self.faults,
-            &ProofConfig {
-                backtrack_limit: 16,
-                threads: 1,
-                ..ProofConfig::default()
-            },
-        )
-        .expect("proof run");
+        let outcomes = self.prove(&ProofConfig {
+            backtrack_limit: 16,
+            threads: 1,
+            ..ProofConfig::default()
+        });
         self.faults
             .iter()
             .zip(&outcomes)
@@ -299,18 +293,28 @@ impl ProofCampaign {
         }
     }
 
+    fn prove(&self, config: &ProofConfig) -> Vec<EngineOutcome> {
+        prove_faults(
+            &self.soc.netlist,
+            &self.constraints,
+            &self.faults,
+            config,
+            &CampaignOptions::default(),
+        )
+        .expect("proof run")
+        .outcomes
+    }
+
     fn run_with(&self, config: ProofConfig) -> ProofResult {
         let start = Instant::now();
-        let outcomes =
-            prove_faults_with_engines(&self.soc.netlist, &self.constraints, &self.faults, &config)
-                .expect("proof run");
+        let outcomes = self.prove(&config);
         let wall_clock = start.elapsed();
         let b = EngineBreakdown::from_outcomes(&outcomes);
         ProofResult {
             wall_clock,
             attempted: outcomes.len(),
-            proven: b.podem_proven + b.sat_proven,
-            aborted: b.podem_aborted + b.sat_aborted,
+            proven: b.proven_total(),
+            aborted: b.aborted_total(),
             sat_proven: b.sat_proven,
         }
     }
@@ -337,46 +341,6 @@ impl SatStageResult {
     pub fn ms_per_concluded_fault(&self) -> f64 {
         self.wall_clock.as_secs_f64() * 1e3 / (self.proven + self.test_exists).max(1) as f64
     }
-}
-
-/// Extracts the number recorded for `"key"` inside the object labelled
-/// `"section"` of a committed `BENCH_*.json` file. A tiny purpose-built
-/// scanner — the vendored serde stand-in has no deserializer, and the gate
-/// only needs a handful of scalar reference numbers.
-pub fn read_committed_f64(json: &str, section: &str, key: &str) -> Option<f64> {
-    let scope = if section.is_empty() {
-        json
-    } else {
-        // Restrict the key search to the section's own (possibly nested)
-        // object, so a key missing from the section never resolves to a
-        // same-named key of a later section.
-        let label = format!("\"{section}\"");
-        let after_label = json.find(&label)? + label.len();
-        let open = json[after_label..].find('{')? + after_label;
-        let mut depth = 0usize;
-        let mut close = None;
-        for (i, c) in json[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(open + i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        &json[open..close?]
-    };
-    let label = format!("\"{key}\"");
-    let at = scope.find(&label)? + label.len();
-    let rest = scope[at..].trim_start_matches([':', ' ', '\t', '\n', '\r']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Prints a Table-I-style block for a report, next to the paper's numbers.
@@ -436,6 +400,7 @@ pub fn print_stage_table(report: &IdentificationReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use online_untestable::JsonValue;
 
     #[test]
     fn helpers_build_and_run() {
@@ -447,60 +412,42 @@ mod tests {
     }
 
     #[test]
-    fn committed_number_scanner_reads_sections() {
-        let json = r#"{
-            "pre": { "campaign_wall_clock_s": 3.829, "detected": 744 },
-            "post": { "campaign_wall_clock_s": 0.294 },
-            "perf_smoke": { "regression_factor": 2.0 }
-        }"#;
-        assert_eq!(
-            read_committed_f64(json, "pre", "campaign_wall_clock_s"),
-            Some(3.829)
-        );
-        assert_eq!(
-            read_committed_f64(json, "post", "campaign_wall_clock_s"),
-            Some(0.294)
-        );
-        assert_eq!(
-            read_committed_f64(json, "perf_smoke", "regression_factor"),
-            Some(2.0)
-        );
-        assert_eq!(read_committed_f64(json, "", "regression_factor"), Some(2.0));
-        assert_eq!(read_committed_f64(json, "post", "missing"), None);
-        assert_eq!(read_committed_f64(json, "absent", "detected"), None);
-        // The search is bounded by the section's closing brace: a key that
-        // only exists in a *later* section must not leak in.
-        assert_eq!(read_committed_f64(json, "pre", "regression_factor"), None);
-        assert_eq!(read_committed_f64(json, "post", "detected"), None);
-        // ... but keys inside nested objects of the section are in scope.
-        let nested = r#"{ "measured": { "criterion_s": { "min": 3.6 } }, "min": 9.9 }"#;
-        assert_eq!(read_committed_f64(nested, "measured", "min"), Some(3.6));
-        // A pretty-printer may wrap the value onto the next line.
-        let wrapped = "{ \"measured\": { \"flow_wall_clock_s\":\n    4.64 } }";
-        assert_eq!(
-            read_committed_f64(wrapped, "measured", "flow_wall_clock_s"),
-            Some(4.64)
-        );
-    }
-
-    #[test]
     fn committed_files_parse() {
-        // The gate must keep being able to read the committed numbers.
+        // Every committed number the perf-smoke gate reads must stay at its
+        // `section.key`, so a renamed key fails here rather than in the gate.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let faultsim =
-            std::fs::read_to_string(format!("{root}/BENCH_faultsim.json")).expect("BENCH_faultsim");
-        assert!(
-            read_committed_f64(&faultsim, "post", "campaign_wall_clock_s").is_some(),
-            "post.campaign_wall_clock_s missing from BENCH_faultsim.json"
-        );
-        let flow = std::fs::read_to_string(format!("{root}/BENCH_flow.json")).expect("BENCH_flow");
-        assert!(
-            read_committed_f64(&flow, "measured", "flow_wall_clock_s").is_some(),
-            "measured.flow_wall_clock_s missing from BENCH_flow.json"
-        );
-        assert!(
-            read_committed_f64(&flow, "perf_smoke", "regression_factor").is_some(),
-            "perf_smoke.regression_factor missing from BENCH_flow.json"
-        );
+        for (file, keys) in [
+            (
+                "BENCH_faultsim.json",
+                &[
+                    ("workload", "faults_detected"),
+                    ("post", "campaign_wall_clock_s"),
+                ][..],
+            ),
+            (
+                "BENCH_flow.json",
+                &[
+                    ("perf_smoke", "regression_factor"),
+                    ("workload", "untestable_total"),
+                    ("measured", "flow_wall_clock_s"),
+                    ("proof_throughput", "proven"),
+                    ("proof_throughput", "proof_wall_clock_s"),
+                    ("sat_throughput", "proven"),
+                    ("sat_throughput", "sat_wall_clock_s"),
+                ][..],
+            ),
+        ] {
+            let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
+            let doc = JsonValue::parse(&text).expect(file);
+            for (section, key) in keys {
+                assert!(
+                    doc.get(section)
+                        .and_then(|s| s.get(key))
+                        .and_then(JsonValue::as_f64)
+                        .is_some(),
+                    "{section}.{key} missing from {file}"
+                );
+            }
+        }
     }
 }

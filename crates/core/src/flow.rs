@@ -24,12 +24,12 @@ use crate::rules::{
 };
 use crate::toggle::analyze_toggles;
 use atpg::analysis::{AnalysisConfig, StructuralAnalysis};
-use atpg::checkpoint::{campaign_fingerprint, Checkpoint};
-use atpg::proof::{prove_faults_campaign, CampaignError, EngineBreakdown, ProofConfig};
+use atpg::checkpoint::Checkpoint;
+use atpg::proof::{prove_faults, CampaignError, CampaignOptions, EngineBreakdown, ProofConfig};
 use atpg::{Budget, CancelToken, ConstraintSet, FailurePlan, FaultSim, InputVector, ProofOutcome};
 use dft::trace::{find_scan_in_ports, trace_scan_chains};
 use faultmodel::{FaultClass, FaultList, StuckAt, UntestableSource};
-use netlist::NetId;
+use netlist::{NetId, Netlist};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -432,21 +432,7 @@ impl IdentificationFlow {
             baseline_structural: ctx.baseline_structural,
             phases: ctx.phases,
             counts: ctx.master.counts(),
-            engine_breakdown: ctx
-                .engine_breakdown
-                .map(|b| crate::report::ProofEngineBreakdown {
-                    podem_test_exists: b.podem_test_exists,
-                    podem_proven: b.podem_proven,
-                    podem_aborted: b.podem_aborted,
-                    sat_test_exists: b.sat_test_exists,
-                    sat_proven: b.sat_proven,
-                    sat_aborted: b.sat_aborted,
-                    aborted_backtracks: b.aborted_backtracks,
-                    aborted_conflicts: b.aborted_conflicts,
-                    aborted_timeout: b.aborted_timeout,
-                    aborted_panicked: b.aborted_panicked,
-                    aborted_unsupported: b.aborted_unsupported,
-                }),
+            engine_breakdown: ctx.engine_breakdown,
         };
         Ok((report, ctx.master))
     }
@@ -592,11 +578,10 @@ impl IdentificationFlow {
             survivors.truncate(cap);
         }
         let faults: Vec<StuckAt> = survivors.iter().map(|&(_, f)| f).collect();
-        let engine_config = self.config.proof.engine_config();
         let checkpoint = match &self.config.proof.checkpoint {
             Some(path) => {
                 let fingerprint =
-                    campaign_fingerprint(ctx.design.netlist(), &constraints, &engine_config);
+                    self.campaign_fingerprint_from(ctx.design.netlist(), &constraints);
                 Some(
                     Checkpoint::create_or_resume(path, fingerprint)
                         .map_err(|e| FlowError::Checkpoint(e.to_string()))?,
@@ -604,13 +589,15 @@ impl IdentificationFlow {
             }
             None => None,
         };
-        let campaign = prove_faults_campaign(
+        let campaign = prove_faults(
             ctx.design.netlist(),
             &constraints,
             &faults,
-            &engine_config,
-            &self.config.proof.budget(),
-            checkpoint.as_ref(),
+            &self.config.proof.engine_config(),
+            &CampaignOptions {
+                budget: self.config.proof.budget(),
+                checkpoint: checkpoint.as_ref(),
+            },
         )
         .map_err(|e| match e {
             CampaignError::Cyclic(loop_err) => FlowError::Analysis(loop_err.to_string()),
@@ -690,6 +677,30 @@ impl IdentificationFlow {
             }
         }
         constraints
+    }
+
+    /// The key a proof campaign on `design` is checkpointed under: a
+    /// fingerprint of the netlist, the mission constraints and the
+    /// verdict-affecting proof-stage settings (see
+    /// [`atpg::checkpoint::campaign_fingerprint`]). The identification
+    /// service keys its result cache with the same value.
+    ///
+    /// # Errors
+    ///
+    /// See [`FlowError`]; only control-input discovery can fail.
+    pub fn campaign_fingerprint<D: Design>(&self, design: &D) -> Result<u64, FlowError> {
+        let constraints = self.mission_constraints(design)?;
+        Ok(self.campaign_fingerprint_from(design.netlist(), &constraints))
+    }
+
+    /// [`campaign_fingerprint`](Self::campaign_fingerprint) with the mission
+    /// constraints already derived (the proof stage has them at hand).
+    fn campaign_fingerprint_from(&self, netlist: &Netlist, constraints: &ConstraintSet) -> u64 {
+        atpg::checkpoint::campaign_fingerprint(
+            netlist,
+            constraints,
+            &self.config.proof.engine_config(),
+        )
     }
 
     /// The control inputs, discovered at most once per pipeline run.
@@ -956,9 +967,8 @@ mod tests {
         let with = portfolio.engine_breakdown.expect("proof stage ran");
         let without = podem_only.engine_breakdown.expect("proof stage ran");
         // Same survivors reach the proof stage either way.
-        let attempted = |b: &crate::report::ProofEngineBreakdown| {
-            b.test_exists_total() + b.proven_total() + b.aborted_total()
-        };
+        let attempted =
+            |b: &EngineBreakdown| b.test_exists_total() + b.proven_total() + b.aborted_total();
         assert_eq!(attempted(&with), attempted(&without));
         // With the portfolio off, no fault is ever attributed to SAT.
         assert_eq!(

@@ -45,15 +45,15 @@
 
 pub mod design;
 pub mod flow;
-pub mod json;
 pub mod manipulate;
 pub mod report;
 pub mod rules;
 pub mod toggle;
 
+pub use atpg::json::{JsonError, JsonValue};
+pub use atpg::proof::EngineBreakdown as ProofEngineBreakdown;
 pub use design::{ConstraintSpec, Design, NetlistDesign, SpecError};
 pub use flow::{DiscoveryMode, FlowConfig, FlowError, IdentificationFlow, ProofStageConfig};
-pub use json::{JsonError, JsonValue};
 pub use manipulate::{Manipulation, ManipulationStep};
-pub use report::{IdentificationReport, PhaseResult, ProofEngineBreakdown};
+pub use report::{IdentificationReport, PhaseResult};
 pub use toggle::{analyze_toggles, ToggleReport};

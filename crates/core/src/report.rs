@@ -1,7 +1,8 @@
 //! The identification report: the Table-I-style summary plus per-phase
 //! details and timings.
 
-use crate::json::JsonValue;
+use atpg::json::JsonValue;
+use atpg::proof::EngineBreakdown;
 use faultmodel::{ClassCounts, UntestableSource, UntestableSummary};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -21,131 +22,6 @@ pub struct PhaseResult {
     pub duration: Duration,
 }
 
-/// Per-engine outcome counts of the PODEM/SAT proof portfolio: how many of
-/// the attempted faults each engine concluded (or gave up on). A fault is
-/// attributed to the engine that produced its final verdict — PODEM when it
-/// concluded within its backtrack budget, SAT when PODEM aborted and the SAT
-/// escalation concluded (or itself ran out of conflicts).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProofEngineBreakdown {
-    /// Faults PODEM found a mission-mode test for.
-    pub podem_test_exists: usize,
-    /// Faults PODEM proved untestable.
-    pub podem_proven: usize,
-    /// Faults left unresolved by both engines, attributed to PODEM (the SAT
-    /// stage was off or declined the fault).
-    pub podem_aborted: usize,
-    /// Faults the SAT escalation found a test for (replayed through the
-    /// simulator before being trusted).
-    pub sat_test_exists: usize,
-    /// Faults the SAT escalation proved untestable.
-    pub sat_proven: usize,
-    /// Faults the SAT escalation itself gave up on (conflict limit).
-    pub sat_aborted: usize,
-    /// Aborts caused by the PODEM backtrack limit.
-    #[serde(default)]
-    pub aborted_backtracks: usize,
-    /// Aborts caused by the SAT conflict limit.
-    #[serde(default)]
-    pub aborted_conflicts: usize,
-    /// Aborts caused by a wall-clock deadline or cancellation.
-    #[serde(default)]
-    pub aborted_timeout: usize,
-    /// Faults whose proof attempt panicked (isolated, campaign survived).
-    #[serde(default)]
-    pub aborted_panicked: usize,
-    /// Faults an engine declined (encoding limits, failed model replay).
-    #[serde(default)]
-    pub aborted_unsupported: usize,
-}
-
-impl ProofEngineBreakdown {
-    /// Faults proven untestable by either engine.
-    pub fn proven_total(&self) -> usize {
-        self.podem_proven + self.sat_proven
-    }
-
-    /// Faults neither engine could conclude.
-    pub fn aborted_total(&self) -> usize {
-        self.podem_aborted + self.sat_aborted
-    }
-
-    /// Faults shown testable in mission mode by either engine.
-    pub fn test_exists_total(&self) -> usize {
-        self.podem_test_exists + self.sat_test_exists
-    }
-
-    /// Aborts attributed to a wall-clock deadline or cancellation — the
-    /// "stage deadline hit" signal callers use to pick an exit status.
-    pub fn deadline_hit(&self) -> bool {
-        self.aborted_timeout > 0
-    }
-
-    /// The per-engine breakdown as a JSON object — one key per counter,
-    /// the shared schema of `untestable --json` and the identification
-    /// service.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "podem_test_exists".to_string(),
-                self.podem_test_exists.into(),
-            ),
-            ("podem_proven".to_string(), self.podem_proven.into()),
-            ("podem_aborted".to_string(), self.podem_aborted.into()),
-            ("sat_test_exists".to_string(), self.sat_test_exists.into()),
-            ("sat_proven".to_string(), self.sat_proven.into()),
-            ("sat_aborted".to_string(), self.sat_aborted.into()),
-            (
-                "aborts".to_string(),
-                JsonValue::Object(vec![
-                    ("backtracks".to_string(), self.aborted_backtracks.into()),
-                    ("conflicts".to_string(), self.aborted_conflicts.into()),
-                    ("timeout".to_string(), self.aborted_timeout.into()),
-                    ("panicked".to_string(), self.aborted_panicked.into()),
-                    ("unsupported".to_string(), self.aborted_unsupported.into()),
-                ]),
-            ),
-            ("deadline_hit".to_string(), self.deadline_hit().into()),
-        ])
-    }
-
-    fn has_abort_reasons(&self) -> bool {
-        self.aborted_backtracks
-            + self.aborted_conflicts
-            + self.aborted_timeout
-            + self.aborted_panicked
-            + self.aborted_unsupported
-            > 0
-    }
-}
-
-impl fmt::Display for ProofEngineBreakdown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PODEM {} proven / {} testable / {} aborted; SAT {} proven / {} testable / {} aborted",
-            self.podem_proven,
-            self.podem_test_exists,
-            self.podem_aborted,
-            self.sat_proven,
-            self.sat_test_exists,
-            self.sat_aborted
-        )?;
-        if self.has_abort_reasons() {
-            write!(
-                f,
-                "; aborts: {} backtracks / {} conflicts / {} timeout / {} panicked / {} unsupported",
-                self.aborted_backtracks,
-                self.aborted_conflicts,
-                self.aborted_timeout,
-                self.aborted_panicked,
-                self.aborted_unsupported
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// The complete result of the on-line untestable fault identification flow.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct IdentificationReport {
@@ -162,7 +38,7 @@ pub struct IdentificationReport {
     pub counts: ClassCounts,
     /// Per-engine outcome counts of the proof stage, when it ran.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub engine_breakdown: Option<ProofEngineBreakdown>,
+    pub engine_breakdown: Option<EngineBreakdown>,
 }
 
 impl IdentificationReport {
@@ -439,14 +315,14 @@ mod tests {
 
     #[test]
     fn engine_breakdown_row_formats_both_engines() {
-        let breakdown = ProofEngineBreakdown {
+        let breakdown = EngineBreakdown {
             podem_test_exists: 850,
             podem_proven: 120,
             podem_aborted: 3,
             sat_test_exists: 7,
             sat_proven: 44,
             sat_aborted: 1,
-            ..ProofEngineBreakdown::default()
+            ..EngineBreakdown::default()
         };
         assert_eq!(breakdown.proven_total(), 164);
         assert_eq!(breakdown.aborted_total(), 4);
@@ -473,11 +349,11 @@ mod tests {
     #[test]
     fn report_json_schema_round_trips() {
         let mut report = sample_report();
-        report.engine_breakdown = Some(ProofEngineBreakdown {
+        report.engine_breakdown = Some(EngineBreakdown {
             podem_proven: 3,
             sat_proven: 2,
             aborted_timeout: 1,
-            ..ProofEngineBreakdown::default()
+            ..EngineBreakdown::default()
         });
         let text = report.to_json().to_string();
         let doc = JsonValue::parse(&text).unwrap();
@@ -525,14 +401,14 @@ mod tests {
 
     #[test]
     fn engine_breakdown_row_attributes_abort_reasons() {
-        let breakdown = ProofEngineBreakdown {
+        let breakdown = EngineBreakdown {
             podem_aborted: 3,
             sat_aborted: 1,
             aborted_backtracks: 1,
             aborted_conflicts: 1,
             aborted_timeout: 1,
             aborted_panicked: 1,
-            ..ProofEngineBreakdown::default()
+            ..EngineBreakdown::default()
         };
         assert!(breakdown.deadline_hit());
         assert_eq!(

@@ -22,7 +22,8 @@
 //!   checkpoint make a `kill -9` mid-campaign resume bit-identically on
 //!   restart;
 //! * a content-addressed result cache keyed by the campaign fingerprint;
-//!   corrupted entries are discarded and recomputed, never served.
+//!   corrupted entries are discarded and recomputed, never served, and
+//!   capped-worklist (`max_proof`) jobs bypass it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

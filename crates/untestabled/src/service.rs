@@ -11,8 +11,6 @@
 
 use crate::job::{JobRequest, JobState};
 use crate::queue::{JobQueue, QueueFull};
-use atpg::checkpoint::campaign_fingerprint;
-use atpg::proof::ProofConfig;
 use atpg::CancelToken;
 use netlist::frontend::parse_netlist;
 use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
@@ -198,7 +196,7 @@ impl Service {
             .and_then(|()| write_atomic(&dir.join("request.json"), body))
             .map_err(|e| SubmitError::Internal(e.to_string()))?;
 
-        let cached_report = if request.chaos.is_none() {
+        let cached_report = if request.cacheable() {
             self.cache_lookup(fingerprint)
         } else {
             None
@@ -424,7 +422,7 @@ impl Service {
             &self.job_dir(job.id).join("result.json"),
             &job_json(job, record).to_string(),
         );
-        if record.state == JobState::Done && !record.cached && job.request.chaos.is_none() {
+        if record.state == JobState::Done && !record.cached && job.request.cacheable() {
             if let Some(report) = &record.report {
                 self.cache_store(record.fingerprint, report);
             }
@@ -856,8 +854,8 @@ fn design_of(request: &JobRequest) -> Result<NetlistDesign, String> {
     }
 }
 
-fn flow_config(job: &Job, attempt: Option<&AttemptInfo>) -> FlowConfig {
-    let config = &job.request.config;
+fn flow_config(request: &JobRequest, attempt: Option<&AttemptInfo>) -> FlowConfig {
+    let config = &request.config;
     FlowConfig {
         run_atpg_proof: true,
         proof: ProofStageConfig {
@@ -871,50 +869,26 @@ fn flow_config(job: &Job, attempt: Option<&AttemptInfo>) -> FlowConfig {
             fault_timeout: config.fault_timeout,
             checkpoint: attempt.map(|a| a.checkpoint.clone()),
             cancel: attempt.map(|a| a.token.clone()),
-            failure_plan: job.request.chaos.as_ref().and_then(|chaos| chaos.engine),
+            failure_plan: request.chaos.as_ref().and_then(|chaos| chaos.engine),
             ..ProofStageConfig::default()
         },
         ..FlowConfig::full_pipeline()
     }
 }
 
-/// The campaign fingerprint the proof stage will key its checkpoint with —
-/// computed identically here so the result cache shares the key.
+/// The campaign fingerprint the proof stage will key its checkpoint with;
+/// the result cache shares the key.
 fn fingerprint_of(request: &JobRequest) -> Result<u64, String> {
-    use online_untestable::Design;
-    let design = design_of(request)?;
-    let probe = Job {
-        id: 0,
-        request: request.clone(),
-        record: Mutex::new(fresh_record()),
-    };
-    let flow = IdentificationFlow::new(flow_config(&probe, None));
-    let constraints = flow
-        .mission_constraints(&design)
-        .map_err(|e| format!("constraint discovery: {e}"))?;
-    let engine = ProofConfig {
-        backtrack_limit: request.config.backtrack,
-        threads: request.config.threads,
-        use_collapse: true,
-        cone_clip: true,
-        use_scoap: true,
-        use_x_path: true,
-        use_sat: request.config.sat,
-        sat_conflict_limit: request.config.sat_conflicts,
-        failure_plan: None,
-    };
-    Ok(campaign_fingerprint(
-        design.netlist(),
-        &constraints,
-        &engine,
-    ))
+    IdentificationFlow::new(flow_config(request, None))
+        .campaign_fingerprint(&design_of(request)?)
+        .map_err(|e| format!("constraint discovery: {e}"))
 }
 
 /// Runs one identification attempt; returns the report JSON and whether a
 /// wall-clock deadline (or cancellation) cut the campaign short.
 fn execute(job: &Arc<Job>, attempt: &AttemptInfo) -> Result<(JsonValue, bool), String> {
     let design = design_of(&job.request)?;
-    let config = flow_config(job, Some(attempt));
+    let config = flow_config(&job.request, Some(attempt));
     let report = IdentificationFlow::new(config)
         .run(&design)
         .map_err(|e| format!("identification flow: {e}"))?;
@@ -927,6 +901,15 @@ fn execute(job: &Arc<Job>, attempt: &AttemptInfo) -> Result<(JsonValue, bool), S
 }
 
 impl JobRequest {
+    /// Whether the job's report may be served from, and stored in, the
+    /// result cache. The cache is keyed by the campaign fingerprint, which
+    /// pins per-fault verdicts but not which faults a capped worklist
+    /// (`max_proof`) samples, so a capped job's report describes only its
+    /// own sample; a chaos job's injected failures may alter its report.
+    fn cacheable(&self) -> bool {
+        self.chaos.is_none() && self.config.max_proof.is_none()
+    }
+
     /// An inert request for jobs whose journal was lost; never executed
     /// (the record is terminal before registration).
     pub(crate) fn placeholder() -> JobRequest {

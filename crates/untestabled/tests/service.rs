@@ -399,6 +399,27 @@ fn identical_resubmission_is_served_from_the_cache() {
     );
     assert_eq!(verdict_of(&second), verdict_of(&first));
 
+    // A capped worklist shares the fingerprint but reports only its sample:
+    // it neither reads nor feeds the cache, so a later default submission
+    // is still served the full verdict.
+    let (capped_id, state, cached) = server.submit(&c17_body(", \"config\": {\"max_proof\": 1}"));
+    assert_eq!(state, "queued");
+    assert!(!cached);
+    let capped = client::wait_terminal(&server.addr, capped_id, Duration::from_secs(60)).unwrap();
+    assert_eq!(
+        capped.get("state").and_then(JsonValue::as_str),
+        Some("done")
+    );
+    assert_ne!(verdict_of(&capped), verdict_of(&first));
+    let (after_id, state, cached) = server.submit(&c17_body(""));
+    assert_eq!(state, "done");
+    assert!(cached);
+    let served = client::job_status(&server.addr, after_id)
+        .unwrap()
+        .json()
+        .unwrap();
+    assert_eq!(verdict_of(&served), verdict_of(&first));
+
     // A different config is a different fingerprint — not a cache hit.
     let (third_id, state, cached) = server.submit(&c17_body(", \"config\": {\"backtrack\": 7}"));
     assert_eq!(state, "queued");

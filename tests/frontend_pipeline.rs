@@ -10,13 +10,18 @@ fn circuit(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-#[test]
-fn synth_c432_screen_plus_proof_matches_the_cli_run() {
+/// The committed `synth_c432` circuit under its committed mission spec.
+fn synth_c432() -> NetlistDesign {
     let netlist = load_netlist(circuit("synth_c432.bench"), None).unwrap();
     let spec =
         ConstraintSpec::parse(&std::fs::read_to_string(circuit("synth_c432.mission")).unwrap())
             .unwrap();
-    let design = NetlistDesign::with_constraints(netlist, &spec).unwrap();
+    NetlistDesign::with_constraints(netlist, &spec).unwrap()
+}
+
+#[test]
+fn synth_c432_screen_plus_proof_matches_the_cli_run() {
+    let design = synth_c432();
     let report = IdentificationFlow::new(FlowConfig::full_pipeline())
         .run(&design)
         .unwrap();
@@ -52,6 +57,18 @@ fn synth_c432_screen_plus_proof_matches_the_cli_run() {
         report.counts.total(),
         "report consistent"
     );
+}
+
+#[test]
+fn synth_c432_campaign_fingerprint_is_pinned() {
+    // The key every existing checkpoint and daemon cache entry for this
+    // circuit was written under (the `fingerprint` line of
+    // `untestable --checkpoint`); a change here orphans all of them.
+    let design = synth_c432();
+    let fingerprint = IdentificationFlow::new(FlowConfig::full_pipeline())
+        .campaign_fingerprint(&design)
+        .unwrap();
+    assert_eq!(format!("{fingerprint:016x}"), "9d7e91e4b45d808f");
 }
 
 #[test]
