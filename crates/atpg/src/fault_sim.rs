@@ -16,14 +16,15 @@
 //! once into a flat struct-of-arrays program, input vectors are bit-packed
 //! once per campaign, fault injection is a dense per-chunk override table,
 //! and every per-cycle buffer is reused — the hot path performs no hash-map
-//! lookup and no allocation. Chunks of still-undetected faults are fanned out
-//! across scoped worker threads, each with its own scratch.
+//! lookup and no allocation. Chunks of still-undetected faults go through the
+//! one work-claiming fan-out the proof campaign ([`crate::proof`]) also uses,
+//! each worker with its own scratch and injection table.
 
 use crate::compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors};
+use crate::fanout::{fan_out, workers_for};
 use faultmodel::{FaultClass, FaultList, StuckAt};
 use netlist::{graph, CellId, Netlist};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One input vector: values applied to primary-input nets for one cycle.
 pub type InputVector = HashMap<netlist::NetId, bool>;
@@ -43,7 +44,6 @@ pub struct FaultSim<'a> {
     netlist: &'a Netlist,
     program: CompiledProgram,
     outputs: Vec<CellId>,
-    cancel: Option<crate::budget::CancelToken>,
 }
 
 impl<'a> FaultSim<'a> {
@@ -57,23 +57,7 @@ impl<'a> FaultSim<'a> {
             netlist,
             program: CompiledProgram::compile(netlist)?,
             outputs: netlist.primary_outputs(),
-            cancel: None,
         })
-    }
-
-    /// Installs (or clears) a cooperative cancel token polled before every
-    /// 63-fault chunk. Chunks skipped after cancellation report *no*
-    /// detections — the safe direction: an undetected fault stays in the
-    /// population for the next (resumed) campaign, it is never classified on
-    /// a simulation that did not run.
-    pub fn set_cancel(&mut self, cancel: Option<crate::budget::CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(crate::budget::CancelToken::is_cancelled)
     }
 
     /// The netlist being simulated.
@@ -204,58 +188,20 @@ impl<'a> FaultSim<'a> {
         let workers = if work < MIN_PARALLEL_GATE_EVALS {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(chunks.len())
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            workers_for(chunks.len(), 1, cores)
         };
-        if workers <= 1 {
-            let mut scratch = self.program.packed_scratch();
-            let mut injection = self.program.packed_injection();
-            return chunks
-                .iter()
-                .map(|chunk| {
-                    if self.cancelled() {
-                        return 0;
-                    }
-                    self.simulate_chunk(
-                        chunk,
-                        faults,
-                        packed,
-                        observed_outputs,
-                        &mut scratch,
-                        &mut injection,
-                    )
-                })
-                .collect();
-        }
-        let results: Vec<AtomicU64> = (0..chunks.len()).map(|_| AtomicU64::new(0)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = self.program.packed_scratch();
-                    let mut injection = self.program.packed_injection();
-                    loop {
-                        if self.cancelled() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&chunk) = chunks.get(i) else { break };
-                        let mask = self.simulate_chunk(
-                            chunk,
-                            faults,
-                            packed,
-                            observed_outputs,
-                            &mut scratch,
-                            &mut injection,
-                        );
-                        results[i].store(mask, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        results.into_iter().map(AtomicU64::into_inner).collect()
+        let mut slots: Vec<_> = (0..workers)
+            .map(|_| {
+                (
+                    self.program.packed_scratch(),
+                    self.program.packed_injection(),
+                )
+            })
+            .collect();
+        fan_out(&chunks, 1, &mut slots, |(scratch, injection), chunk| {
+            self.simulate_chunk(chunk, faults, packed, observed_outputs, scratch, injection)
+        })
     }
 
     fn simulate_chunk(

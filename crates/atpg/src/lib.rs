@@ -63,6 +63,7 @@ pub mod checkpoint;
 pub mod cnf;
 pub mod compiled;
 pub mod constant;
+mod fanout;
 pub mod fault_sim;
 pub mod json;
 pub mod logic;

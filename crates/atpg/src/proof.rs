@@ -1,4 +1,4 @@
-//! Parallel untestability proofs: a work-stealing fan-out of the
+//! Parallel untestability proofs: a work-claiming fan-out of the
 //! constraint-aware PODEM engine over a fault population.
 //!
 //! This is the engine behind the identification flow's *proof stage*: after
@@ -23,10 +23,13 @@
 //! remaining members are proven individually in a second pass, so a
 //! backtrack-budget give-up can never masquerade as a class-wide verdict.
 //!
-//! Each worker owns its own [`Podem`] engine (and therefore its own reusable
-//! simulation buffers), chunks of faults are claimed from a shared atomic
-//! cursor, and every per-fault outcome is independent of scheduling — the
-//! multi-threaded run classifies *identically* to the single-threaded one.
+//! The faults go through the one work-claiming fan-out the fault simulator
+//! ([`crate::fault_sim`]) also uses: the caller's thread and the scoped
+//! threads claim chunks of faults from a shared cursor, and each worker
+//! keeps its own [`Podem`] engine (and therefore its own reusable simulation
+//! buffers) for the whole campaign, across both collapse passes. Every
+//! per-fault outcome is independent of scheduling — the multi-threaded run
+//! classifies *identically* to the single-threaded one.
 //!
 //! With [`ProofConfig::use_sat`] the fan-out becomes a **portfolio**: each
 //! fault runs PODEM under its backtrack budget first, and an abort escalates
@@ -57,12 +60,12 @@ use crate::budget::{AbortReason, Budget, CancelToken, FailurePlan};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::cnf::{SatProver, SatVerdict};
 use crate::constant::ConstraintSet;
+use crate::fanout::{fan_out, workers_for};
 use crate::json::JsonValue;
 use crate::podem::{Podem, PodemConfig, ProofOutcome};
 use faultmodel::{collapse_with_barriers, FaultList, StuckAt};
 use netlist::{graph, Netlist};
 use std::fmt;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Faults claimed per cursor bump: small enough to balance a skewed workload
@@ -134,15 +137,14 @@ impl ProofConfig {
         }
     }
 
-    fn resolve_threads(&self, fault_count: usize) -> usize {
-        let requested = if self.threads == 0 {
+    fn resolve_threads(&self) -> usize {
+        if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
         } else {
             self.threads
-        };
-        requested.min(fault_count.div_ceil(CHUNK)).max(1)
+        }
     }
 }
 
@@ -343,65 +345,41 @@ impl fmt::Display for EngineBreakdown {
     }
 }
 
-// Result-slot codes: 1 = TestExists, 2 = ProvenUntestable, 3..=7 = Aborted
-// (one per AbortReason), all +7 for the SAT engine. 0 stays the never-written
-// initializer.
-fn encode(result: EngineOutcome) -> u8 {
-    let base = match result.outcome {
-        ProofOutcome::TestExists => 1,
-        ProofOutcome::ProvenUntestable => 2,
-        ProofOutcome::Aborted => {
-            3 + match result.reason.unwrap_or(AbortReason::Backtracks) {
-                AbortReason::Backtracks => 0,
-                AbortReason::Conflicts => 1,
-                AbortReason::Timeout => 2,
-                AbortReason::Panicked => 3,
-                AbortReason::Unsupported => 4,
-            }
-        }
-    };
-    match result.engine {
-        ProofEngine::Podem => base,
-        ProofEngine::Sat => base + 7,
-    }
+/// One worker's engines, built lazily on first use and kept for the whole
+/// campaign, across both collapse passes: construction is design-sized
+/// (SCOAP, baseline propagation). The SAT engine is built on the worker's
+/// first PODEM abort, so the common all-concluded path never pays for it.
+#[derive(Default)]
+struct Engines<'a> {
+    podem: Option<Podem<'a>>,
+    sat: Option<SatProver<'a>>,
 }
 
-fn decode(code: u8) -> EngineOutcome {
-    let engine = if code >= 8 {
-        ProofEngine::Sat
-    } else {
-        ProofEngine::Podem
-    };
-    let base = if code >= 8 { code - 7 } else { code };
-    match base {
-        1 => EngineOutcome::concluded(ProofOutcome::TestExists, engine),
-        2 => EngineOutcome::concluded(ProofOutcome::ProvenUntestable, engine),
-        3 => EngineOutcome::aborted(engine, AbortReason::Backtracks),
-        4 => EngineOutcome::aborted(engine, AbortReason::Conflicts),
-        5 => EngineOutcome::aborted(engine, AbortReason::Timeout),
-        6 => EngineOutcome::aborted(engine, AbortReason::Panicked),
-        7 => EngineOutcome::aborted(engine, AbortReason::Unsupported),
-        // 0 is the never-written initializer: a fan-out scheduling bug that
-        // skipped a fault. Mapping it to `Aborted` would disguise the bug as
-        // a legitimate budget give-up, so fail loudly instead.
-        other => panic!("proof fan-out left a fault unvisited (result code {other})"),
-    }
-}
-
-/// Proves one fault on the portfolio: PODEM first, SAT escalation on abort
-/// (when enabled). The SAT engine is built lazily on the first abort so the
-/// common all-concluded path never pays for it.
-#[allow(clippy::too_many_arguments)]
-fn prove_one<'a>(
+/// What every worker of one [`prove_faults`] run shares.
+struct Campaign<'a> {
     netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    config: &ProofConfig,
-    budget: &Budget,
-    podem: &mut Podem<'a>,
-    sat_engine: &mut Option<SatProver<'a>>,
+    constraints: &'a ConstraintSet,
+    faults: &'a [StuckAt],
+    config: &'a ProofConfig,
+    budget: &'a Budget,
+    checkpoint: Option<&'a Checkpoint>,
+}
+
+/// Proves fault `index` on the portfolio: PODEM first, SAT escalation on
+/// abort (when enabled).
+fn prove_one<'a>(
+    campaign: &Campaign<'a>,
+    engines: &mut Engines<'a>,
     index: usize,
-    fault: StuckAt,
 ) -> EngineOutcome {
+    let Campaign {
+        netlist,
+        constraints,
+        faults,
+        config,
+        budget,
+        ..
+    } = *campaign;
     let deadline = budget.fault_deadline(Instant::now());
     let interrupt = budget.cancel.as_ref().map(CancelToken::flag);
     if let Some(plan) = config.failure_plan {
@@ -423,6 +401,11 @@ fn prove_one<'a>(
             }
         }
     }
+    let fault = faults[index];
+    let podem = engines.podem.get_or_insert_with(|| {
+        Podem::new(netlist, constraints, config.podem_config())
+            .expect("levelization already validated")
+    });
     podem.set_search_limits(interrupt.clone(), deadline);
     let outcome = podem.prove(fault);
     if outcome != ProofOutcome::Aborted {
@@ -436,13 +419,10 @@ fn prove_one<'a>(
     if !config.use_sat {
         return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Backtracks);
     }
-    let sat = match sat_engine {
-        Some(sat) => sat,
-        None => sat_engine.insert(
-            SatProver::new(netlist, constraints, config.sat_conflict_limit)
-                .expect("levelization already validated"),
-        ),
-    };
+    let sat = engines.sat.get_or_insert_with(|| {
+        SatProver::new(netlist, constraints, config.sat_conflict_limit)
+            .expect("levelization already validated")
+    });
     sat.set_search_limits(interrupt, deadline);
     if config
         .failure_plan
@@ -476,137 +456,49 @@ fn prove_one<'a>(
 /// recorded as [`AbortReason::Panicked`], and the (possibly poisoned —
 /// PODEM's reusable buffers are moved out during a search) engines are
 /// dropped so the next fault rebuilds them from scratch.
-#[allow(clippy::too_many_arguments)]
 fn prove_guarded<'a>(
-    netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    config: &ProofConfig,
-    budget: &Budget,
-    podem_slot: &mut Option<Podem<'a>>,
-    sat_slot: &mut Option<SatProver<'a>>,
+    campaign: &Campaign<'a>,
+    engines: &mut Engines<'a>,
     index: usize,
-    fault: StuckAt,
 ) -> EngineOutcome {
-    if budget.stage_stopped() {
+    if campaign.budget.stage_stopped() {
         return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
     }
-    let podem = match podem_slot {
-        Some(podem) => podem,
-        None => podem_slot.insert(
-            Podem::new(netlist, constraints, config.podem_config())
-                .expect("levelization already validated"),
-        ),
-    };
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prove_one(
-            netlist,
-            constraints,
-            config,
-            budget,
-            podem,
-            sat_slot,
-            index,
-            fault,
-        )
+        prove_one(campaign, engines, index)
     }));
-    match attempt {
-        Ok(result) => result,
-        Err(_) => {
-            *podem_slot = None;
-            *sat_slot = None;
-            EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Panicked)
-        }
-    }
+    attempt.unwrap_or_else(|_| {
+        *engines = Engines::default();
+        EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Panicked)
+    })
 }
 
-/// Proves every fault in `worklist` (indices into `faults`) with a fan-out
-/// over scoped worker threads, writing `encode`d outcomes into `results` at
-/// the worklist positions. Slots already holding a verdict (pre-seeded from
-/// a checkpoint) are skipped; freshly proven verdicts are appended to the
-/// checkpoint as they conclude. Below two resolved workers the faults are
-/// proven on `single_engine`, built lazily and kept alive across calls — the
-/// collapse schedule invokes this twice (representatives, then the members
-/// of aborted classes) and engine construction is design-sized (SCOAP,
-/// baseline propagation).
-///
-/// The netlist must already have been validated acyclic (the workers unwrap
-/// engine construction).
-#[allow(clippy::too_many_arguments)]
+/// Proves every fault of `worklist` (indices into the campaign's faults)
+/// whose result slot is still empty — a slot pre-seeded from the
+/// checkpoint is skipped — and fills its slot. Each fresh verdict is
+/// appended to the checkpoint by its worker as it concludes, so an
+/// interruption loses at most the faults in flight.
 fn prove_worklist<'a>(
-    netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    faults: &[StuckAt],
+    campaign: &Campaign<'a>,
     worklist: &[usize],
-    config: &ProofConfig,
-    budget: &Budget,
-    checkpoint: Option<&Checkpoint>,
-    results: &[AtomicU8],
-    single_engine: &mut Option<Podem<'a>>,
-    single_sat: &mut Option<SatProver<'a>>,
+    engines: &mut [Engines<'a>],
+    results: &mut [Option<EngineOutcome>],
 ) {
-    if worklist.is_empty() {
-        return;
-    }
-    let workers = config.resolve_threads(worklist.len());
-    if workers <= 1 {
-        for &i in worklist {
-            if results[i].load(Ordering::Relaxed) != 0 {
-                continue;
-            }
-            let r = prove_guarded(
-                netlist,
-                constraints,
-                config,
-                budget,
-                single_engine,
-                single_sat,
-                i,
-                faults[i],
-            );
-            results[i].store(encode(r), Ordering::Relaxed);
-            if let Some(cp) = checkpoint {
-                cp.record(faults[i], r);
-            }
+    let todo: Vec<usize> = worklist
+        .iter()
+        .copied()
+        .filter(|&i| results[i].is_none())
+        .collect();
+    let verdicts = fan_out(&todo, CHUNK, engines, |engines, &i| {
+        let verdict = prove_guarded(campaign, engines, i);
+        if let Some(cp) = campaign.checkpoint {
+            cp.record(campaign.faults[i], verdict);
         }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let chunks = worklist.len().div_ceil(CHUNK);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut podem_slot: Option<Podem<'a>> = None;
-                let mut sat_engine: Option<SatProver<'a>> = None;
-                loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunks {
-                        break;
-                    }
-                    let start = chunk * CHUNK;
-                    let end = (start + CHUNK).min(worklist.len());
-                    for &i in &worklist[start..end] {
-                        if results[i].load(Ordering::Relaxed) != 0 {
-                            continue;
-                        }
-                        let r = prove_guarded(
-                            netlist,
-                            constraints,
-                            config,
-                            budget,
-                            &mut podem_slot,
-                            &mut sat_engine,
-                            i,
-                            faults[i],
-                        );
-                        results[i].store(encode(r), Ordering::Relaxed);
-                        if let Some(cp) = checkpoint {
-                            cp.record(faults[i], r);
-                        }
-                    }
-                }
-            });
-        }
+        verdict
     });
+    for (i, verdict) in todo.into_iter().zip(verdicts) {
+        results[i] = Some(verdict);
+    }
 }
 
 /// Why a proof campaign could not run to completion.
@@ -689,8 +581,6 @@ pub fn prove_faults(
     config: &ProofConfig,
     options: &CampaignOptions<'_>,
 ) -> Result<CampaignOutcome, CampaignError> {
-    let budget = &options.budget;
-    let checkpoint = options.checkpoint;
     // Validate levelization once up front (and still surface a cyclic design
     // when the fault list is empty) so the workers can unwrap — levelize is
     // the only error source of engine construction, and validating with it
@@ -703,39 +593,25 @@ pub fn prove_faults(
             from_checkpoint: 0,
         });
     }
-    let results: Vec<AtomicU8> = (0..faults.len()).map(|_| AtomicU8::new(0)).collect();
-    let mut from_checkpoint = 0usize;
-    if let Some(cp) = checkpoint {
-        for (i, &fault) in faults.iter().enumerate() {
-            if let Some(r) = cp.concluded(fault) {
-                results[i].store(encode(r), Ordering::Relaxed);
-                from_checkpoint += 1;
-            }
-        }
-    }
-
-    let mut single_engine: Option<Podem<'_>> = None;
-    let mut single_sat: Option<SatProver<'_>> = None;
-
-    if !config.use_collapse {
-        let worklist: Vec<usize> = (0..faults.len()).collect();
-        prove_worklist(
-            netlist,
-            constraints,
-            faults,
-            &worklist,
-            config,
-            budget,
-            checkpoint,
-            &results,
-            &mut single_engine,
-            &mut single_sat,
-        );
-        return finish_campaign(results, from_checkpoint, checkpoint);
-    }
+    let campaign = Campaign {
+        netlist,
+        constraints,
+        faults,
+        config,
+        budget: &options.budget,
+        checkpoint: options.checkpoint,
+    };
+    let mut results: Vec<Option<EngineOutcome>> = faults
+        .iter()
+        .map(|&fault| options.checkpoint.and_then(|cp| cp.concluded(fault)))
+        .collect();
+    let from_checkpoint = results.iter().flatten().count();
+    let workers = workers_for(faults.len(), CHUNK, config.resolve_threads());
+    let mut engines: Vec<Engines<'_>> = (0..workers).map(|_| Engines::default()).collect();
 
     // Collapse-schedule: group the population by structural equivalence
-    // class and prove the first member of each class.
+    // class (without collapsing, every fault is its own class) and prove the
+    // first member of each class.
     //
     // One frame-specific restriction: structural equivalence reasons about
     // the faulty *function*, but a constraint-forced net decouples a stem
@@ -747,85 +623,61 @@ pub fn prove_faults(
     // the forcing point to sound members downstream of it whose behaviour
     // differs). Gate-local unions stay valid on forced nets — a forced gate
     // output masks the gate's pin faults and its output fault alike.
-    let list = FaultList::from_faults(faults.to_vec());
-    let collapsed = collapse_with_barriers(netlist, &list, |net| {
-        constraints.forced_nets.contains_key(&net)
-    });
-    // Class representative (universe index) → input index of its prover.
-    let mut prover_of_class: Vec<Option<usize>> = vec![None; list.len()];
-    let mut class_of: Vec<usize> = Vec::with_capacity(faults.len());
+    let class_of: Vec<usize> = if config.use_collapse {
+        let list = FaultList::from_faults(faults.to_vec());
+        let collapsed = collapse_with_barriers(netlist, &list, |net| {
+            constraints.forced_nets.contains_key(&net)
+        });
+        faults
+            .iter()
+            .map(|&fault| {
+                collapsed.representative_of(
+                    list.index_of(fault)
+                        .expect("every input fault is in its own universe"),
+                )
+            })
+            .collect()
+    } else {
+        (0..faults.len()).collect()
+    };
+    // Class → input index of its prover. Class ids are below `faults.len()`
+    // either way: a representative indexes the deduplicated universe.
+    let mut prover_of_class: Vec<Option<usize>> = vec![None; faults.len()];
     let mut provers: Vec<usize> = Vec::new();
-    for (i, &fault) in faults.iter().enumerate() {
-        let class = collapsed.representative_of(
-            list.index_of(fault)
-                .expect("every input fault is in its own universe"),
-        );
-        class_of.push(class);
+    for (i, &class) in class_of.iter().enumerate() {
         if prover_of_class[class].is_none() {
             prover_of_class[class] = Some(i);
             provers.push(i);
         }
     }
-    prove_worklist(
-        netlist,
-        constraints,
-        faults,
-        &provers,
-        config,
-        budget,
-        checkpoint,
-        &results,
-        &mut single_engine,
-        &mut single_sat,
-    );
+    prove_worklist(&campaign, &provers, &mut engines, &mut results);
 
     // Expansion: concluded class verdicts cover every member (with the
     // representative's engine — that proof is what covers them); members of
     // aborted classes go into the individual second pass. A pre-seeded
     // member keeps its checkpointed verdict either way.
     let mut second_pass: Vec<usize> = Vec::new();
-    for i in 0..faults.len() {
-        let prover = prover_of_class[class_of[i]].expect("every class has a prover");
+    for (i, &class) in class_of.iter().enumerate() {
+        let prover = prover_of_class[class].expect("every class has a prover");
         if prover == i {
             continue;
         }
-        let representative = decode(results[prover].load(Ordering::Relaxed));
+        let representative = results[prover].expect("proof fan-out left a fault unvisited");
         if representative.outcome == ProofOutcome::Aborted {
             second_pass.push(i);
-        } else if results[i].load(Ordering::Relaxed) == 0 {
-            results[i].store(encode(representative), Ordering::Relaxed);
+        } else {
+            results[i].get_or_insert(representative);
         }
     }
-    prove_worklist(
-        netlist,
-        constraints,
-        faults,
-        &second_pass,
-        config,
-        budget,
-        checkpoint,
-        &results,
-        &mut single_engine,
-        &mut single_sat,
-    );
+    prove_worklist(&campaign, &second_pass, &mut engines, &mut results);
 
-    finish_campaign(results, from_checkpoint, checkpoint)
-}
-
-/// Decodes the filled result slots and surfaces any deferred checkpoint
-/// write error.
-fn finish_campaign(
-    results: Vec<AtomicU8>,
-    from_checkpoint: usize,
-    checkpoint: Option<&Checkpoint>,
-) -> Result<CampaignOutcome, CampaignError> {
-    if let Some(cp) = checkpoint {
+    if let Some(cp) = options.checkpoint {
         cp.sync()?;
     }
     Ok(CampaignOutcome {
         outcomes: results
             .into_iter()
-            .map(|c| decode(c.into_inner()))
+            .map(|r| r.expect("proof fan-out left a fault unvisited"))
             .collect(),
         from_checkpoint,
     })
@@ -911,6 +763,24 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_thread_request_only_builds_the_workers_the_faults_need() {
+        // `threads` arrives unchecked from the CLI and the daemon's job
+        // config; one engine slot per requested thread would exhaust memory
+        // and abort the process instead of proving anything.
+        let n = redundant_design();
+        let faults = FaultList::full_universe(&n).faults().to_vec();
+        let constraints = ConstraintSet::full_scan();
+        let config = |threads| ProofConfig {
+            threads,
+            ..ProofConfig::default()
+        };
+        assert_eq!(
+            tagged(&n, &constraints, &faults, &config(1 << 40)),
+            tagged(&n, &constraints, &faults, &config(1))
+        );
+    }
+
+    #[test]
     fn outcomes_match_a_fresh_sequential_engine_per_fault() {
         let n = redundant_design();
         let faults: Vec<_> = FaultList::full_universe(&n)
@@ -960,35 +830,6 @@ mod tests {
             &ProofConfig::default(),
         );
         assert!(outcomes.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "proof fan-out left a fault unvisited")]
-    fn decode_rejects_the_unwritten_result_code() {
-        // Regression: code 0 is the never-written initializer of the result
-        // slots. It used to decode to `Aborted`, so a scheduling bug that
-        // skipped a fault would masquerade as a legitimate budget give-up.
-        let _ = decode(0);
-    }
-
-    #[test]
-    fn decode_roundtrips_every_real_outcome() {
-        for engine in [ProofEngine::Podem, ProofEngine::Sat] {
-            for outcome in [ProofOutcome::TestExists, ProofOutcome::ProvenUntestable] {
-                let tagged = EngineOutcome::concluded(outcome, engine);
-                assert_eq!(decode(encode(tagged)), tagged);
-            }
-            for reason in [
-                AbortReason::Backtracks,
-                AbortReason::Conflicts,
-                AbortReason::Timeout,
-                AbortReason::Panicked,
-                AbortReason::Unsupported,
-            ] {
-                let tagged = EngineOutcome::aborted(engine, reason);
-                assert_eq!(decode(encode(tagged)), tagged);
-            }
-        }
     }
 
     #[test]

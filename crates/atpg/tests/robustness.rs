@@ -86,45 +86,56 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
     let netlist = build_circuit(30);
     let constraints = ConstraintSet::full_scan();
     let faults = universe(&netlist);
-    let config = ProofConfig {
-        use_collapse: false, // every input index reaches an engine
-        failure_plan: Some(FailurePlan {
-            panic_on: Some(3),
-            ..FailurePlan::default()
-        }),
-        ..sequential_config()
-    };
-    let campaign = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions::default(),
-    )
-    .unwrap();
-
-    let poisoned = &campaign.outcomes[3];
-    assert_eq!(poisoned.outcome, ProofOutcome::Aborted);
-    assert_eq!(poisoned.reason, Some(AbortReason::Panicked));
-
-    // Every other fault concluded exactly as a clean run concludes it: the
-    // panic neither lost the campaign nor leaked poisoned engine state.
-    let clean = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &ProofConfig {
-            use_collapse: false,
+    for threads in [1, 3] {
+        let config = ProofConfig {
+            threads,
+            use_collapse: false, // every input index reaches an engine
             ..sequential_config()
-        },
-        &CampaignOptions::default(),
-    )
-    .unwrap();
-    for (i, (injected, reference)) in campaign.outcomes.iter().zip(&clean.outcomes).enumerate() {
-        if i == 3 {
-            continue;
+        };
+        let campaign = prove_faults(
+            &netlist,
+            &constraints,
+            &faults,
+            &ProofConfig {
+                failure_plan: Some(FailurePlan {
+                    panic_on: Some(3),
+                    ..FailurePlan::default()
+                }),
+                ..config
+            },
+            &CampaignOptions::default(),
+        )
+        .unwrap();
+
+        let poisoned = &campaign.outcomes[3];
+        assert_eq!(poisoned.outcome, ProofOutcome::Aborted, "{threads} threads");
+        assert_eq!(
+            poisoned.reason,
+            Some(AbortReason::Panicked),
+            "{threads} threads"
+        );
+
+        // Every other fault concluded exactly as a clean run concludes it:
+        // the panic neither lost the campaign nor leaked poisoned engine
+        // state.
+        let clean = prove_faults(
+            &netlist,
+            &constraints,
+            &faults,
+            &config,
+            &CampaignOptions::default(),
+        )
+        .unwrap();
+        for (i, (injected, reference)) in campaign.outcomes.iter().zip(&clean.outcomes).enumerate()
+        {
+            if i == 3 {
+                continue;
+            }
+            assert_eq!(
+                injected, reference,
+                "fault {i} diverged after the panic ({threads} threads)"
+            );
         }
-        assert_eq!(injected, reference, "fault {i} diverged after the panic");
     }
 }
 
@@ -392,72 +403,78 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
 }
 
 /// Resume also replays the collapse schedule: with collapsing on, a resumed
-/// campaign still classifies identically to an uninterrupted one.
+/// campaign still classifies identically to an uninterrupted one, also when
+/// several workers share the pre-seeded result slots.
 #[test]
 fn resume_replays_the_collapse_schedule() {
     let netlist = build_circuit(40);
     let constraints = ConstraintSet::full_scan();
     let faults = universe(&netlist);
-    let config = sequential_config(); // collapse on
-    let reference = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions::default(),
-    )
-    .unwrap();
-
-    let path = TempCheckpoint::new("collapse-resume");
-    let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
-    {
-        // Interrupt with a stalled representative early in the schedule.
-        let token = CancelToken::new();
-        let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-        let canceller = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                token.cancel();
-            })
+    for threads in [1, 3] {
+        let config = ProofConfig {
+            threads,
+            ..sequential_config() // collapse on
         };
-        prove_faults(
+        let reference = prove_faults(
             &netlist,
             &constraints,
             &faults,
-            &ProofConfig {
-                failure_plan: Some(FailurePlan {
-                    stall_on: Some(faults.len() / 3),
-                    ..FailurePlan::default()
-                }),
-                ..config
-            },
+            &config,
+            &CampaignOptions::default(),
+        )
+        .unwrap();
+
+        let path = TempCheckpoint::new(&format!("collapse-resume-{threads}"));
+        let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+        {
+            // Interrupt with a stalled representative early in the schedule.
+            let token = CancelToken::new();
+            let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
+            let canceller = {
+                let token = token.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(30));
+                    token.cancel();
+                })
+            };
+            prove_faults(
+                &netlist,
+                &constraints,
+                &faults,
+                &ProofConfig {
+                    failure_plan: Some(FailurePlan {
+                        stall_on: Some(faults.len() / 3),
+                        ..FailurePlan::default()
+                    }),
+                    ..config
+                },
+                &CampaignOptions {
+                    budget: Budget::unlimited().with_cancel(token),
+                    checkpoint: Some(&checkpoint),
+                },
+            )
+            .unwrap();
+            canceller.join().unwrap();
+        }
+
+        let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
+        let resumed = prove_faults(
+            &netlist,
+            &constraints,
+            &faults,
+            &config,
             &CampaignOptions {
-                budget: Budget::unlimited().with_cancel(token),
                 checkpoint: Some(&checkpoint),
+                ..CampaignOptions::default()
             },
         )
         .unwrap();
-        canceller.join().unwrap();
-    }
-
-    let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-    let resumed = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions {
-            checkpoint: Some(&checkpoint),
-            ..CampaignOptions::default()
-        },
-    )
-    .unwrap();
-    for (i, (merged, single)) in resumed.outcomes.iter().zip(&reference.outcomes).enumerate() {
-        assert_eq!(
-            merged.outcome, single.outcome,
-            "fault {i} classified differently after collapse-scheduled resume"
-        );
+        for (i, (merged, single)) in resumed.outcomes.iter().zip(&reference.outcomes).enumerate() {
+            assert_eq!(
+                merged.outcome, single.outcome,
+                "fault {i} classified differently after collapse-scheduled resume ({threads} threads)"
+            );
+        }
     }
 }
 

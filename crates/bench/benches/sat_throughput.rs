@@ -8,9 +8,9 @@
 //! survivors, then a PODEM-only proof run to find its aborts) happens once
 //! outside the measured region; the measured region is the SAT replay of
 //! the first [`bench::SAT_STAGE_SLICE`] aborts (the full worklist's
-//! conflict-limited tail costs minutes per iteration). The full-worklist
-//! portfolio run is also printed next to the PODEM-only run so the
-//! abort-column conversion is visible in the bench output.
+//! conflict-limited tail costs minutes per iteration). The full portfolio is
+//! measured by the `proof_throughput` bench, and the PODEM-only run is
+//! recorded in `BENCH_flow.json` as `proof_throughput.podem_only`.
 
 use bench::{ProofCampaign, SAT_STAGE_SLICE};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -19,22 +19,6 @@ use std::time::Duration;
 fn sat_throughput(c: &mut Criterion) {
     let campaign = ProofCampaign::prepare();
     println!("survivors               : {}", campaign.survivors());
-
-    let podem_only = campaign.run_podem_only();
-    println!(
-        "PODEM alone             : {:.3} s, {} proven, {} aborted",
-        podem_only.wall_clock.as_secs_f64(),
-        podem_only.proven,
-        podem_only.aborted
-    );
-    let portfolio = campaign.run();
-    println!(
-        "PODEM/SAT portfolio     : {:.3} s, {} proven ({} by SAT), {} aborted",
-        portfolio.wall_clock.as_secs_f64(),
-        portfolio.proven,
-        portfolio.sat_proven,
-        portfolio.aborted
-    );
 
     let worklist = campaign.sat_escalation_worklist();
     let slice = &worklist[..SAT_STAGE_SLICE.min(worklist.len())];

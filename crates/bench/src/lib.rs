@@ -158,8 +158,7 @@ pub struct ProofResult {
     pub proven: usize,
     /// Faults neither engine concluded.
     pub aborted: usize,
-    /// Faults proven untestable by the SAT escalation specifically (zero
-    /// when the portfolio is off).
+    /// Faults proven untestable by the SAT escalation specifically.
     pub sat_proven: usize,
 }
 
@@ -212,39 +211,23 @@ impl ProofCampaign {
     /// PODEM aborts escalated to the SAT backend), timing only the proof run
     /// itself.
     pub fn run(&self) -> ProofResult {
-        self.run_with(ProofConfig {
+        let start = Instant::now();
+        let outcomes = self.prove(&ProofConfig {
             backtrack_limit: 16,
             threads: 1,
             use_sat: true,
             sat_conflict_limit: 20_000,
             ..ProofConfig::default()
-        })
-    }
-
-    /// Runs the same worklist with the SAT escalation off — the accelerated
-    /// PODEM engine alone, the pre-portfolio committed configuration.
-    pub fn run_podem_only(&self) -> ProofResult {
-        self.run_with(ProofConfig {
-            backtrack_limit: 16,
-            threads: 1,
-            ..ProofConfig::default()
-        })
-    }
-
-    /// Runs the same worklist on the pre-acceleration reference engine (the
-    /// exact pre-PR configuration: whole-netlist simulation per decision, no
-    /// guidance, no pruning, no collapse scheduling) — the baseline of the
-    /// committed speedup figure.
-    pub fn run_reference_engine(&self) -> ProofResult {
-        self.run_with(ProofConfig {
-            backtrack_limit: 16,
-            threads: 1,
-            use_collapse: false,
-            cone_clip: false,
-            use_scoap: false,
-            use_x_path: false,
-            ..ProofConfig::default()
-        })
+        });
+        let wall_clock = start.elapsed();
+        let b = EngineBreakdown::from_outcomes(&outcomes);
+        ProofResult {
+            wall_clock,
+            attempted: outcomes.len(),
+            proven: b.proven_total(),
+            aborted: b.aborted_total(),
+            sat_proven: b.sat_proven,
+        }
     }
 
     /// The SAT escalation's worklist: the faults the committed PODEM
@@ -303,20 +286,6 @@ impl ProofCampaign {
         )
         .expect("proof run")
         .outcomes
-    }
-
-    fn run_with(&self, config: ProofConfig) -> ProofResult {
-        let start = Instant::now();
-        let outcomes = self.prove(&config);
-        let wall_clock = start.elapsed();
-        let b = EngineBreakdown::from_outcomes(&outcomes);
-        ProofResult {
-            wall_clock,
-            attempted: outcomes.len(),
-            proven: b.proven_total(),
-            aborted: b.aborted_total(),
-            sat_proven: b.sat_proven,
-        }
     }
 }
 

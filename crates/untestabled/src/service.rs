@@ -86,8 +86,6 @@ struct JobRecord {
     epoch: u64,
     cancel: CancelToken,
     cancel_requested: bool,
-    /// The watchdog cancelled this attempt for exceeding `attempt_timeout`.
-    stalled: bool,
     attempt_started: Option<Instant>,
     escalated_at: Option<Instant>,
     retry_at: Option<Instant>,
@@ -176,8 +174,8 @@ impl Service {
     // Front-door API (called by the HTTP layer).
     // ------------------------------------------------------------------
 
-    /// Accepts a `POST /jobs` body: validates, journals, consults the result
-    /// cache, and enqueues. Returns `(id, state, cached)` on acceptance.
+    /// Accepts a `POST /jobs` body: validates, consults the result cache,
+    /// journals, and enqueues. Returns `(id, state, cached)` on acceptance.
     pub fn submit(&self, body: &str) -> Result<(u64, JobState, bool), SubmitError> {
         if self.draining.load(Ordering::SeqCst) {
             return Err(SubmitError::Draining);
@@ -185,9 +183,15 @@ impl Service {
         let request =
             JobRequest::from_json(body, self.config.enable_chaos).map_err(SubmitError::Invalid)?;
         let fingerprint = fingerprint_of(&request).map_err(SubmitError::Invalid)?;
-        // Refuse before journalling when the queue is visibly full; the
+        let cached_report = if request.cacheable() {
+            self.cache_lookup(fingerprint)
+        } else {
+            None
+        };
+        // A cache hit is served terminal without a queue slot. A miss is
+        // refused before journalling when the queue is visibly full; the
         // authoritative check is the push below.
-        if self.queue.len() >= self.config.queue_capacity {
+        if cached_report.is_none() && self.queue.len() >= self.config.queue_capacity {
             return Err(SubmitError::Full);
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
@@ -196,30 +200,12 @@ impl Service {
             .and_then(|()| write_atomic(&dir.join("request.json"), body))
             .map_err(|e| SubmitError::Internal(e.to_string()))?;
 
-        let cached_report = if request.cacheable() {
-            self.cache_lookup(fingerprint)
-        } else {
-            None
-        };
         let job = Arc::new(Job {
             id,
             request,
             record: Mutex::new(JobRecord {
-                state: JobState::Queued,
-                attempts: 0,
-                epoch: 0,
-                cancel: CancelToken::new(),
-                cancel_requested: false,
-                stalled: false,
-                attempt_started: None,
-                escalated_at: None,
-                retry_at: None,
-                deadline: None,
-                error: None,
-                abort_reason: None,
-                cached: false,
-                report: None,
                 fingerprint,
+                ..fresh_record()
             }),
         });
         if let Some(report) = cached_report {
@@ -613,7 +599,6 @@ impl Service {
         record.attempts += 1;
         record.epoch += 1;
         record.cancel = CancelToken::new();
-        record.stalled = false;
         record.escalated_at = None;
         record.retry_at = None;
         record.attempt_started = Some(now);
@@ -731,7 +716,6 @@ impl Service {
                                 .is_some_and(|started| now >= started + limit);
                             match record.escalated_at {
                                 None if overdue => {
-                                    record.stalled = true;
                                     record.escalated_at = Some(now);
                                     record.cancel.cancel();
                                 }
@@ -804,7 +788,6 @@ fn fresh_record() -> JobRecord {
         epoch: 0,
         cancel: CancelToken::new(),
         cancel_requested: false,
-        stalled: false,
         attempt_started: None,
         escalated_at: None,
         retry_at: None,

@@ -204,20 +204,28 @@ fn queue_overflow_is_503_with_retry_after() {
         config.workers = 1;
         config.queue_capacity = 1;
     });
+    // Cache one default result first.
+    let (done_id, _, _) = server.submit(&c17_body(""));
+    client::wait_terminal(&server.addr, done_id, Duration::from_secs(60)).unwrap();
+
     // Pin the single worker on a long (cancellable) stall.
     let stall = c17_body(", \"chaos\": {\"stall_attempts\": 1, \"stall_ms\": 30000}");
     let (stalled_id, _, _) = server.submit(&stall);
     server.wait_state(stalled_id, "running", Duration::from_secs(10));
 
-    // Fill the queue, then overflow it.
-    let (queued_id, _, _) = server.submit(&c17_body(""));
-    let refused = client::submit(&server.addr, &c17_body("")).unwrap();
+    // Fill the queue, then overflow it, with configs the cache has not seen.
+    let (queued_id, _, _) = server.submit(&c17_body(", \"config\": {\"backtrack\": 7}"));
+    let refused =
+        client::submit(&server.addr, &c17_body(", \"config\": {\"backtrack\": 9}")).unwrap();
     assert_eq!(refused.status, 503, "{}", refused.body);
     assert_eq!(refused.header("retry-after"), Some("1"));
     assert!(refused.body.contains("queue full"), "{}", refused.body);
     // The refused submission left no job behind.
     let refused_doc = refused.json().unwrap();
     assert!(refused_doc.get("id").is_none());
+    // A cache hit needs no queue slot, so a full queue does not refuse it.
+    let (_, state, cached) = server.submit(&c17_body(""));
+    assert_eq!((state.as_str(), cached), ("done", true));
 
     // Unpin: cancellation ends the stall, the queued job completes, and the
     // freed capacity accepts new work again.
@@ -235,7 +243,7 @@ fn queue_overflow_is_503_with_retry_after() {
         queued.get("state").and_then(JsonValue::as_str),
         Some("done")
     );
-    let (retry_id, _, _) = server.submit(&c17_body(""));
+    let (retry_id, _, _) = server.submit(&c17_body(", \"config\": {\"backtrack\": 9}"));
     client::wait_terminal(&server.addr, retry_id, Duration::from_secs(60)).unwrap();
     server.stop();
 }
