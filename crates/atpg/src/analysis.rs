@@ -11,44 +11,19 @@
 //!   blocked by constant side inputs,
 //! * [`FaultClass::Unused`] — sitting on logic with no path to any
 //!   observation point at all (e.g. cones feeding only masked debug outputs),
-//! * [`FaultClass::Redundant`] — proven untestable by the optional PODEM
-//!   redundancy proof,
 //! * or left [`FaultClass::Undetected`] (potentially testable).
 //!
 //! The classification is *conservative*: a fault is only moved to an
 //! untestable class when the structural argument is airtight under the given
-//! constraints.
+//! constraints. The screen runs no search: the faults it leaves undetected
+//! are what the PODEM/SAT proof stage ([`crate::proof`]) decides.
 
 use crate::constant::{propagate_constants, ConstantValues, ConstraintSet};
 use crate::logic::Logic;
-use crate::podem::{Podem, PodemConfig, PodemOutcome};
 use faultmodel::{FaultClass, FaultList, FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Configuration of a [`StructuralAnalysis`] run.
-#[derive(Clone, Debug)]
-pub struct AnalysisConfig {
-    /// The mission-mode constraints (tied nets, masked outputs, scan
-    /// assumptions).
-    pub constraints: ConstraintSet,
-    /// Additionally run a PODEM redundancy proof on faults that the fast
-    /// structural pass leaves unclassified. Much slower; off by default.
-    pub prove_redundancy: bool,
-    /// PODEM backtrack limit per fault when `prove_redundancy` is on.
-    pub podem_backtrack_limit: usize,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        AnalysisConfig {
-            constraints: ConstraintSet::full_scan(),
-            prove_redundancy: false,
-            podem_backtrack_limit: 2_000,
-        }
-    }
-}
 
 /// Summary statistics of one analysis run.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,14 +36,12 @@ pub struct AnalysisOutcome {
     pub blocked: usize,
     /// Newly classified as unused (UU).
     pub unused: usize,
-    /// Newly classified as redundant (UR) by PODEM.
-    pub redundant: usize,
 }
 
 impl AnalysisOutcome {
     /// Total number of faults newly classified untestable.
     pub fn total_untestable(&self) -> usize {
-        self.tied + self.blocked + self.unused + self.redundant
+        self.tied + self.blocked + self.unused
     }
 }
 
@@ -90,28 +63,14 @@ impl Observability {
 /// The structural untestability analysis engine.
 #[derive(Debug)]
 pub struct StructuralAnalysis {
-    config: AnalysisConfig,
+    constraints: ConstraintSet,
 }
 
 impl StructuralAnalysis {
-    /// Creates an analysis with the given configuration.
-    pub fn new(config: AnalysisConfig) -> Self {
-        StructuralAnalysis { config }
-    }
-
-    /// Creates an analysis with default full-scan constraints.
+    /// Creates an analysis under the given mission-mode constraints
+    /// ([`ConstraintSet::full_scan`] for the unconstrained baseline).
     pub fn with_constraints(constraints: ConstraintSet) -> Self {
-        StructuralAnalysis {
-            config: AnalysisConfig {
-                constraints,
-                ..AnalysisConfig::default()
-            },
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
+        StructuralAnalysis { constraints }
     }
 
     /// Runs constant propagation only and returns the values.
@@ -120,12 +79,11 @@ impl StructuralAnalysis {
     ///
     /// Returns the levelization error if the combinational logic is cyclic.
     pub fn constants(&self, netlist: &Netlist) -> Result<ConstantValues, graph::CombinationalLoop> {
-        propagate_constants(netlist, &self.config.constraints)
+        propagate_constants(netlist, &self.constraints)
     }
 
     /// Computes net observability under the constraints.
     pub fn observability(&self, netlist: &Netlist, constants: &ConstantValues) -> Observability {
-        let constraints = &self.config.constraints;
         let mut net_observable = vec![false; netlist.num_nets()];
         let mut queue: VecDeque<NetId> = VecDeque::new();
 
@@ -136,21 +94,8 @@ impl StructuralAnalysis {
             }
         };
 
-        // Observation points: unmasked primary outputs and (under the
-        // full-scan assumption) every flip-flop input pin.
-        for po in netlist.primary_outputs() {
-            if constraints.masked_outputs.contains(&po) {
-                continue;
-            }
-            let net = netlist.cell(po).inputs()[0];
+        for (_, _, net) in self.constraints.observation_points(netlist) {
             mark(net, &mut net_observable, &mut queue);
-        }
-        if constraints.observe_ff_inputs {
-            for ff in netlist.sequential_cells() {
-                for &net in netlist.cell(ff).inputs() {
-                    mark(net, &mut net_observable, &mut queue);
-                }
-            }
         }
 
         // Backward propagation: if a gate's output is observable, each input
@@ -192,51 +137,24 @@ impl StructuralAnalysis {
         let targets: Vec<StuckAt> = faults.undetected().map(|(_, f)| f).collect();
         outcome.examined = targets.len();
 
-        let mut podem_candidates: Vec<StuckAt> = Vec::new();
-
         for fault in targets {
-            match classify_fault(
+            let Some(class) = classify_fault(
                 netlist,
-                &self.config.constraints,
+                &self.constraints,
                 &constants,
                 &observability,
                 fault,
-            ) {
-                Some(FaultClass::Tied) => {
-                    faults.classify(fault, FaultClass::Tied);
-                    outcome.tied += 1;
-                }
-                Some(FaultClass::Blocked) => {
-                    faults.classify(fault, FaultClass::Blocked);
-                    outcome.blocked += 1;
-                }
-                Some(FaultClass::Unused) => {
-                    faults.classify(fault, FaultClass::Unused);
-                    outcome.unused += 1;
-                }
-                _ => {
-                    if self.config.prove_redundancy {
-                        podem_candidates.push(fault);
-                    }
-                }
-            }
-        }
-
-        if self.config.prove_redundancy && !podem_candidates.is_empty() {
-            let mut podem = Podem::new(
-                netlist,
-                &self.config.constraints,
-                PodemConfig {
-                    backtrack_limit: self.config.podem_backtrack_limit,
-                    ..PodemConfig::default()
-                },
-            )?;
-            for fault in podem_candidates {
-                if podem.generate(fault) == PodemOutcome::Redundant {
-                    faults.classify(fault, FaultClass::Redundant);
-                    outcome.redundant += 1;
-                }
-            }
+            ) else {
+                continue;
+            };
+            let count = match class {
+                FaultClass::Tied => &mut outcome.tied,
+                FaultClass::Blocked => &mut outcome.blocked,
+                FaultClass::Unused => &mut outcome.unused,
+                other => unreachable!("the structural screen assigned {other:?}"),
+            };
+            *count += 1;
+            faults.classify(fault, class);
         }
 
         Ok(outcome)
@@ -475,7 +393,7 @@ mod tests {
         let x = b.xor_word(&a, &c);
         b.output_bus("y", &x);
         let n = b.finish();
-        let analysis = StructuralAnalysis::new(AnalysisConfig::default());
+        let analysis = StructuralAnalysis::with_constraints(ConstraintSet::full_scan());
         let mut faults = FaultList::full_universe(&n);
         let outcome = analysis.run(&n, &mut faults).unwrap();
         assert_eq!(outcome.total_untestable(), 0);
@@ -495,7 +413,7 @@ mod tests {
         let inv = n.driver_of(x).unwrap();
 
         let mut faults = FaultList::full_universe(&n);
-        let analysis = StructuralAnalysis::new(AnalysisConfig::default());
+        let analysis = StructuralAnalysis::with_constraints(ConstraintSet::full_scan());
         analysis.run(&n, &mut faults).unwrap();
         assert_eq!(
             faults.class_of(StuckAt::output(inv, false)),
@@ -562,7 +480,7 @@ mod tests {
         let mut all = faults.faults().to_vec();
         all.push(dead_fault);
         faults = FaultList::from_faults(all);
-        let analysis = StructuralAnalysis::new(AnalysisConfig::default());
+        let analysis = StructuralAnalysis::with_constraints(ConstraintSet::full_scan());
         analysis.run(&n, &mut faults).unwrap();
         assert_eq!(faults.class_of(dead_fault), Some(FaultClass::Unused));
     }
@@ -582,7 +500,7 @@ mod tests {
         b.output("y", y);
         let n = b.finish();
         let mux = n.driver_of(m).unwrap();
-        let analysis = StructuralAnalysis::new(AnalysisConfig::default());
+        let analysis = StructuralAnalysis::with_constraints(ConstraintSet::full_scan());
         let mut faults = FaultList::full_universe(&n);
         analysis.run(&n, &mut faults).unwrap();
         // The select pin cannot influence the output: stuck-at faults on S are

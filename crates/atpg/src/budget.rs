@@ -7,9 +7,11 @@
 //! wedging the whole run. The engines never kill threads — they poll. A
 //! [`Budget`] carries an optional shared [`CancelToken`], an optional
 //! whole-stage deadline and an optional per-fault wall-clock limit; the
-//! PODEM backtrack loop, the CDCL restart loop and the fault-simulation
-//! chunk fan-out all check it at their natural backoff points, so
-//! cancellation latency is bounded by one search step, never by one fault.
+//! PODEM backtrack loop and the CDCL restart loop check it at their natural
+//! backoff points, so cancellation latency is bounded by one search step,
+//! never by one fault. (The fault-simulation fan-out polls no budget.) A
+//! limit so far away that its deadline would lie past the last
+//! representable instant sets no deadline.
 //!
 //! Every abort records *why* it happened ([`AbortReason`]), which the
 //! breakdown reporting and the checkpoint format both preserve: a
@@ -145,9 +147,13 @@ impl Budget {
         self
     }
 
-    /// Sets the whole-stage deadline `timeout` from now.
+    /// Sets the whole-stage deadline `timeout` from now. A deadline past the
+    /// last representable instant sets none.
     pub fn with_stage_timeout(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
+        match Instant::now().checked_add(timeout) {
+            Some(deadline) => self.with_deadline(deadline),
+            None => self,
+        }
     }
 
     /// Sets the per-fault wall-clock limit.
@@ -172,9 +178,10 @@ impl Budget {
 
     /// The wall-clock deadline for one fault whose proof starts at
     /// `started`: the per-fault limit capped by the stage deadline (`None`
-    /// when neither is set).
+    /// when neither is set, or when both lie past the last representable
+    /// instant).
     pub fn fault_deadline(&self, started: Instant) -> Option<Instant> {
-        let per_fault = self.fault_timeout.map(|t| started + t);
+        let per_fault = self.fault_timeout.and_then(|t| started.checked_add(t));
         match (per_fault, self.deadline) {
             (Some(f), Some(s)) => Some(f.min(s)),
             (f, s) => f.or(s),
@@ -254,6 +261,16 @@ mod tests {
             loose.fault_deadline(started),
             Some(started + Duration::from_millis(5))
         );
+    }
+
+    #[test]
+    fn timeouts_past_the_last_instant_set_no_deadline() {
+        let budget = Budget::unlimited()
+            .with_stage_timeout(Duration::MAX)
+            .with_fault_timeout(Duration::MAX);
+        assert_eq!(budget.deadline, None);
+        assert_eq!(budget.fault_deadline(Instant::now()), None);
+        assert!(!budget.stage_stopped());
     }
 
     #[test]

@@ -94,9 +94,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a, the same dependency-free construction the workspace uses for its
-/// deterministic shuffles: good avalanche for fingerprinting, trivially
-/// stable across platforms.
+/// FNV-1a: dependency-free, good avalanche for fingerprinting, trivially
+/// stable across platforms. (The workspace's deterministic shuffles use
+/// splitmix64, not this hash.)
 struct Fnv(u64);
 
 impl Fnv {

@@ -12,7 +12,11 @@
 //! on an observation pin. Mission forces from the [`ConstraintSet`] enter as
 //! **unit assumptions** on fresh variables.
 //!
-//! The two-valued encoding is exact for the three-valued engine because every
+//! The prover searches the same full-scan frame as [`crate::podem`]: its
+//! free variables are exactly the nets PODEM may assign (unforced primary
+//! inputs and, under full scan, unforced flip-flop outputs), and its
+//! observation points are [`ConstraintSet::observation_points`]. The
+//! two-valued encoding is exact for the three-valued engine because every
 //! source net in the relevant fan-in is forced, tied, or controllable:
 //! three-valued simulation is monotone, so a detecting partial assignment
 //! extends to a detecting complete one, and any satisfying complete
@@ -22,20 +26,22 @@
 //! guessing, and the portfolio keeps the search engine's verdict.
 //!
 //! A `Sat` answer is never trusted on its own: the model is replayed through
-//! [`CombSim`] with the fault injected and must reproduce the detection
-//! before [`SatVerdict::TestExists`] is returned.
+//! the three-valued simulator with the fault injected and must pass the
+//! detection check PODEM decides with before [`SatVerdict::TestExists`] is
+//! returned.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use faultmodel::{FaultSite, StuckAt};
-use netlist::{graph, CellId, CellKind, NetId, Netlist, PinIndex};
+use netlist::{graph, CellId, CellKind, NetId, Netlist};
 use sat::{Lit, SolveResult, Solver, Var};
 
 use crate::budget::AbortReason;
 use crate::compiled::{SimScratch, NO_INDEX};
 use crate::constant::ConstraintSet;
+use crate::frame::Frame;
 use crate::logic::Logic;
-use crate::sim::{CombSim, NetValues};
+use crate::sim::NetValues;
 
 /// Default ceiling on the number of CNF clauses one proof attempt may build.
 /// A pathological cone (huge reconvergent fan-in) hits this guard and comes
@@ -81,10 +87,8 @@ struct Detection {
 
 /// Per-fault CNF under construction: the solver, the lazily resolved good
 /// machine, and the assumption/input bookkeeping.
-struct Cnf<'n> {
-    netlist: &'n Netlist,
-    forced: &'n HashMap<NetId, Logic>,
-    control_ff_outputs: bool,
+struct Cnf<'f> {
+    frame: &'f Frame<'f>,
     solver: Solver,
     /// Good-machine encoding per net, resolved on demand through the fan-in.
     good: HashMap<NetId, Repr>,
@@ -98,16 +102,10 @@ struct Cnf<'n> {
     stack: Vec<NetId>,
 }
 
-impl<'n> Cnf<'n> {
-    fn new(
-        netlist: &'n Netlist,
-        forced: &'n HashMap<NetId, Logic>,
-        control_ff_outputs: bool,
-    ) -> Self {
+impl<'f> Cnf<'f> {
+    fn new(frame: &'f Frame<'f>) -> Self {
         Cnf {
-            netlist,
-            forced,
-            control_ff_outputs,
+            frame,
             solver: Solver::new(),
             good: HashMap::new(),
             assumptions: Vec::new(),
@@ -302,18 +300,18 @@ impl<'n> Cnf<'n> {
     ///
     /// [`Unsupported`] when the fan-in contains a net the two-valued encoding
     /// cannot represent exactly: an `X` force, a floating (driverless) net,
-    /// or a flip-flop output while the environment says those are not
-    /// controllable.
+    /// or a source the frame does not control (a flip-flop output while the
+    /// environment says those are not controllable).
     fn good_repr(&mut self, net: NetId) -> Result<Repr, Unsupported> {
         debug_assert!(self.stack.is_empty());
-        let netlist = self.netlist;
+        let frame = self.frame;
         self.stack.push(net);
         while let Some(&n) = self.stack.last() {
             if self.good.contains_key(&n) {
                 self.stack.pop();
                 continue;
             }
-            if let Some(&value) = self.forced.get(&n) {
+            if let Some(value) = frame.forced_value(n) {
                 // Mission force: a fresh variable pinned by a unit
                 // assumption, so learnt clauses stay environment-free.
                 let Some(bit) = value.to_bool() else {
@@ -326,27 +324,23 @@ impl<'n> Cnf<'n> {
                 self.stack.pop();
                 continue;
             }
-            let Some(driver) = netlist.driver_of(n) else {
+            let Some(driver) = frame.netlist().driver_of(n) else {
                 // Floating net: permanently X in simulation.
                 self.stack.clear();
                 return Err(Unsupported);
             };
-            let cell = netlist.cell(driver);
+            let cell = frame.netlist().cell(driver);
             let kind = cell.kind();
             let repr = match kind {
-                CellKind::Input => self.free_var(n),
+                _ if frame.is_controllable(n) => self.free_var(n),
                 CellKind::Tie0 => Repr::Const(false),
                 CellKind::Tie1 => Repr::Const(true),
-                CellKind::Dff { .. } | CellKind::Sdff { .. } => {
-                    if self.control_ff_outputs {
-                        self.free_var(n)
-                    } else {
-                        self.stack.clear();
-                        return Err(Unsupported);
-                    }
+                _ if !kind.is_combinational() => {
+                    // A source the frame does not control.
+                    self.stack.clear();
+                    return Err(Unsupported);
                 }
                 _ => {
-                    debug_assert!(kind.is_combinational());
                     let before = self.stack.len();
                     for &in_net in cell.inputs() {
                         if !self.good.contains_key(&in_net) {
@@ -378,19 +372,17 @@ fn encode_fault(
     cnf: &mut Cnf<'_>,
     gates: &[(u32, CellId)],
     fault: StuckAt,
-    site_net: NetId,
-    is_obs_net: &[bool],
-    observation_pins: &HashSet<(CellId, PinIndex)>,
     faulty: &mut HashMap<NetId, Repr>,
 ) -> Result<Detection, Unsupported> {
-    let netlist = cnf.netlist;
+    let frame = cnf.frame;
+    let netlist = frame.netlist();
     let stuck = fault.value;
     for &(_, cell_id) in gates {
         let kind = netlist.cell(cell_id).kind();
         let out = netlist
             .output_net(cell_id)
             .expect("compiled gates drive a net");
-        if cnf.forced.contains_key(&out) {
+        if frame.forced_mask()[out.index()] {
             // Gates never overwrite forced nets, in either machine.
             continue;
         }
@@ -422,7 +414,7 @@ fn encode_fault(
     let mut diff_nets: Vec<NetId> = faulty
         .keys()
         .copied()
-        .filter(|net| is_obs_net[net.index()])
+        .filter(|net| frame.is_observation_net(*net))
         .collect();
     diff_nets.sort_unstable();
     let mut terms = Vec::new();
@@ -436,17 +428,15 @@ fn encode_fault(
             Repr::Lit(l) => terms.push(l),
         }
     }
-    if let FaultSite::CellInput { cell, pin } = fault.site {
-        if observation_pins.contains(&(cell, pin)) {
-            // Branch observation: the faulted pin itself is an observation
-            // point, so the fault is seen whenever the good value differs
-            // from the stuck value.
-            let g = cnf.good_repr(site_net)?;
-            match cnf.xor2(g, Repr::Const(stuck)) {
-                Repr::Const(false) => {}
-                Repr::Const(true) => trivially_detected = true,
-                Repr::Lit(l) => terms.push(l),
-            }
+    if let Some(pin_net) = frame.observed_branch(fault) {
+        // Branch observation: the faulted pin itself is an observation
+        // point, so the fault is seen whenever the good value differs from
+        // the stuck value.
+        let g = cnf.good_repr(pin_net)?;
+        match cnf.xor2(g, Repr::Const(stuck)) {
+            Repr::Const(false) => {}
+            Repr::Const(true) => trivially_detected = true,
+            Repr::Lit(l) => terms.push(l),
         }
     }
     Ok(Detection {
@@ -455,66 +445,18 @@ fn encode_fault(
     })
 }
 
-/// Replays a SAT model through the three-valued simulator and checks the
-/// detection the encoding promised, using PODEM's exact criterion.
-#[allow(clippy::too_many_arguments)]
-fn replay_detects(
-    sim: &CombSim<'_>,
-    forced: &HashMap<NetId, Logic>,
-    observation_nets: &[NetId],
-    observation_pins: &HashSet<(CellId, PinIndex)>,
-    fault: StuckAt,
-    site_net: NetId,
-    assignment: &[(NetId, bool)],
-    good: &mut NetValues,
-    faulty: &mut NetValues,
-    scratch: &mut SimScratch,
-) -> bool {
-    good.fill(Logic::X);
-    faulty.fill(Logic::X);
-    for &(net, value) in assignment {
-        good[net.index()] = Logic::from_bool(value);
-        faulty[net.index()] = Logic::from_bool(value);
-    }
-    sim.propagate_with(good, forced, None, scratch);
-    sim.propagate_with(faulty, forced, Some(fault), scratch);
-    for &net in observation_nets {
-        let g = good[net.index()];
-        let f = faulty[net.index()];
-        if g.is_definite() && f.is_definite() && g != f {
-            return true;
-        }
-    }
-    if let FaultSite::CellInput { cell, pin } = fault.site {
-        if observation_pins.contains(&(cell, pin)) {
-            let g = good[site_net.index()];
-            if g.is_definite() && g != Logic::from_bool(fault.value) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// SAT-backed untestability prover over the full-scan combinational frame.
 ///
-/// Shares PODEM's view of the environment: primary inputs and flip-flop
-/// outputs are controllable (unless forced), primary outputs and flip-flop
-/// input pins are observation points (unless masked). Each
+/// Shares PODEM's frame: primary inputs and flip-flop outputs are
+/// controllable (unless forced), primary outputs and flip-flop input pins
+/// are observation points (unless masked). Each
 /// [`prove`](Self::prove) call encodes the fault's cone-clipped good/faulty
 /// machine pair into a fresh CNF and asks the CDCL core ([`sat::Solver`])
 /// whether any detecting assignment exists.
 #[derive(Debug)]
 pub struct SatProver<'a> {
-    netlist: &'a Netlist,
-    sim: CombSim<'a>,
-    forced: HashMap<NetId, Logic>,
-    control_ff_outputs: bool,
-    observation_nets: Vec<NetId>,
-    observation_pins: HashSet<(CellId, PinIndex)>,
-    is_obs_net: Vec<bool>,
+    frame: Frame<'a>,
     extractor: graph::ConeExtractor,
-    gate_of_cell: Vec<u32>,
     conflict_limit: u64,
     clause_limit: usize,
     interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
@@ -539,46 +481,13 @@ impl<'a> SatProver<'a> {
         constraints: &ConstraintSet,
         conflict_limit: u64,
     ) -> Result<Self, graph::CombinationalLoop> {
-        let sim = CombSim::new(netlist)?;
-        let forced = constraints.forced_nets.clone();
-        let mut observation_nets = Vec::new();
-        let mut observation_pins = HashSet::new();
-        for po in netlist.primary_outputs() {
-            if constraints.masked_outputs.contains(&po) {
-                continue;
-            }
-            observation_nets.push(netlist.cell(po).inputs()[0]);
-            observation_pins.insert((po, 0));
-        }
-        if constraints.observe_ff_inputs {
-            for ff in netlist.sequential_cells() {
-                for (pin, &net) in netlist.cell(ff).inputs().iter().enumerate() {
-                    observation_nets.push(net);
-                    observation_pins.insert((ff, pin as PinIndex));
-                }
-            }
-        }
-        observation_nets.sort_unstable();
-        observation_nets.dedup();
-        let mut is_obs_net = vec![false; netlist.num_nets()];
-        for &net in &observation_nets {
-            is_obs_net[net.index()] = true;
-        }
-        let extractor = graph::ConeExtractor::new(netlist);
-        let gate_of_cell = sim.program().gate_index_by_cell();
-        let good_buf = sim.blank_values();
-        let faulty_buf = sim.blank_values();
-        let scratch = sim.scratch();
+        let frame = Frame::new(netlist, constraints)?;
+        let good_buf = frame.sim().blank_values();
+        let faulty_buf = frame.sim().blank_values();
+        let scratch = frame.sim().scratch();
         Ok(SatProver {
-            netlist,
-            sim,
-            forced,
-            control_ff_outputs: constraints.control_ff_outputs,
-            observation_nets,
-            observation_pins,
-            is_obs_net,
-            extractor,
-            gate_of_cell,
+            frame,
+            extractor: graph::ConeExtractor::new(netlist),
             conflict_limit,
             clause_limit: DEFAULT_CLAUSE_LIMIT,
             interrupt: None,
@@ -628,37 +537,36 @@ impl<'a> SatProver<'a> {
     /// Attempts a definitive verdict for one stuck-at fault.
     pub fn prove(&mut self, fault: StuckAt) -> SatVerdict {
         self.last_abort_reason = None;
-        let site_net = match fault.site {
-            FaultSite::CellOutput { cell } => match self.netlist.output_net(cell) {
-                Some(net) => net,
-                // Detached output pin: nothing downstream can observe it.
-                None => return SatVerdict::ProvenUntestable,
-            },
-            FaultSite::CellInput { cell, pin } => self.netlist.input_net(cell, pin),
+        let frame = &self.frame;
+        let Some(site_net) = frame.site_net(fault) else {
+            // Detached output pin: nothing downstream can observe it.
+            return SatVerdict::ProvenUntestable;
         };
         let stuck = fault.value;
 
         // The site's fanout cone, restricted to compiled gates, in ascending
         // gate (= topological) order.
-        let cone = self.extractor.fanout_cone_with(self.netlist, &[site_net]);
+        let cone = self
+            .extractor
+            .fanout_cone_with(frame.netlist(), &[site_net]);
         let mut gates: Vec<(u32, CellId)> = cone
             .iter()
             .filter_map(|&c| {
-                let g = self.gate_of_cell[c.index()];
+                let g = frame.gate_of(c);
                 (g != NO_INDEX).then_some((g, c))
             })
             .collect();
         gates.sort_unstable();
 
-        let mut cnf = Cnf::new(self.netlist, &self.forced, self.control_ff_outputs);
+        let mut cnf = Cnf::new(frame);
         let mut faulty: HashMap<NetId, Repr> = HashMap::new();
         match fault.site {
             FaultSite::CellOutput { cell } => {
-                if !self.netlist.cell(cell).kind().is_combinational() {
+                if !frame.netlist().cell(cell).kind().is_combinational() {
                     // Source stem (input / tie / flip-flop output): the stuck
                     // value overrides the site even when the net is forced.
                     faulty.insert(site_net, Repr::Const(stuck));
-                } else if self.forced.contains_key(&site_net) {
+                } else if frame.forced_mask()[site_net.index()] {
                     // A forced net is never overwritten by its gate: the
                     // faulty machine equals the good one everywhere.
                     return SatVerdict::ProvenUntestable;
@@ -669,15 +577,7 @@ impl<'a> SatProver<'a> {
             FaultSite::CellInput { .. } => {}
         }
 
-        let detection = match encode_fault(
-            &mut cnf,
-            &gates,
-            fault,
-            site_net,
-            &self.is_obs_net,
-            &self.observation_pins,
-            &mut faulty,
-        ) {
+        let detection = match encode_fault(&mut cnf, &gates, fault, &mut faulty) {
             Ok(d) => d,
             Err(Unsupported) => {
                 self.last_abort_reason = Some(AbortReason::Unsupported);
@@ -725,19 +625,18 @@ impl<'a> SatProver<'a> {
                         *value = !*value;
                     }
                 }
-                let detected = replay_detects(
-                    &self.sim,
-                    &self.forced,
-                    &self.observation_nets,
-                    &self.observation_pins,
-                    fault,
-                    site_net,
-                    &assignment,
-                    &mut self.good_buf,
-                    &mut self.faulty_buf,
-                    &mut self.scratch,
-                );
-                if detected {
+                // Replay the model through the three-valued simulator and
+                // check the detection the encoding promised by PODEM's
+                // criterion.
+                let assigned = || {
+                    assignment
+                        .iter()
+                        .map(|&(net, v)| (net, Logic::from_bool(v)))
+                };
+                let (good, faulty) = (&mut self.good_buf, &mut self.faulty_buf);
+                frame.simulate(assigned(), None, good, &mut self.scratch);
+                frame.simulate(assigned(), Some(fault), faulty, &mut self.scratch);
+                if frame.detects(fault, good, faulty, frame.observation_nets()) {
                     SatVerdict::TestExists
                 } else {
                     // The simulator refused the model: the encoding and the

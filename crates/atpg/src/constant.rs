@@ -10,7 +10,7 @@
 use crate::logic::Logic;
 use crate::sim::{CombSim, NetValues};
 use faultmodel::StuckAt;
-use netlist::{graph, CellId, CellKind, NetId, Netlist, Reset};
+use netlist::{graph, CellId, CellKind, NetId, Netlist, PinIndex, Reset};
 use std::collections::{HashMap, HashSet};
 
 /// The environment under which the structural analysis runs: which signals
@@ -61,6 +61,27 @@ impl ConstraintSet {
     pub fn mask_output(&mut self, output: CellId) -> &mut Self {
         self.masked_outputs.insert(output);
         self
+    }
+
+    /// The observation points of the full-scan frame, each as the observing
+    /// pin and the net it reads: the pin of every unmasked primary output
+    /// and, with [`observe_ff_inputs`](Self::observe_ff_inputs), every
+    /// flip-flop input pin.
+    pub fn observation_points(&self, netlist: &Netlist) -> Vec<(CellId, PinIndex, NetId)> {
+        let mut points = Vec::new();
+        for po in netlist.primary_outputs() {
+            if !self.masked_outputs.contains(&po) {
+                points.push((po, 0, netlist.cell(po).inputs()[0]));
+            }
+        }
+        if self.observe_ff_inputs {
+            for ff in netlist.sequential_cells() {
+                for (pin, &net) in netlist.cell(ff).inputs().iter().enumerate() {
+                    points.push((ff, pin as PinIndex, net));
+                }
+            }
+        }
+        points
     }
 }
 

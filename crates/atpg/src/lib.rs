@@ -65,6 +65,7 @@ pub mod compiled;
 pub mod constant;
 mod fanout;
 pub mod fault_sim;
+mod frame;
 pub mod json;
 pub mod logic;
 pub mod podem;
@@ -72,7 +73,7 @@ pub mod proof;
 pub mod scoap;
 pub mod sim;
 
-pub use analysis::{AnalysisConfig, AnalysisOutcome, StructuralAnalysis};
+pub use analysis::{AnalysisOutcome, StructuralAnalysis};
 pub use budget::{AbortReason, Budget, CancelToken, FailurePlan};
 pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
 pub use cnf::{SatProver, SatVerdict};

@@ -34,14 +34,15 @@
 //!   points, forced side inputs) this turns a large share of slow
 //!   backtrack-budget aborts into fast untestability proofs.
 
-use crate::compiled::{CompiledProgram, SimScratch, NO_INDEX};
+use crate::compiled::{SimScratch, NO_INDEX};
 use crate::constant::ConstraintSet;
+use crate::frame::Frame;
 use crate::logic::Logic;
 use crate::scoap::{compute_scoap, Scoap};
-use crate::sim::{CombSim, NetValues};
+use crate::sim::NetValues;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Configuration of the PODEM engine.
 #[derive(Clone, Copy, Debug)]
@@ -113,10 +114,10 @@ pub enum ProofOutcome {
     Aborted,
 }
 
-/// Per-engine cone-clipping machinery: the reusable netlist cone extractor,
-/// the dense cell→gate map of the compiled program, and the per-fault clipped
-/// views. Rebuilt by [`prepare`](Self::prepare) for every fault;
-/// allocation-free once the buffers have grown to the largest cone.
+/// Per-engine cone-clipping machinery: the reusable netlist cone extractor
+/// and the per-fault clipped views. Rebuilt by [`prepare`](Self::prepare)
+/// for every fault; allocation-free once the buffers have grown to the
+/// largest cone.
 ///
 /// The clipped engine splits the work along the two cones of a fault site:
 ///
@@ -133,10 +134,6 @@ pub enum ProofOutcome {
 #[derive(Debug)]
 struct ClipEngine {
     extractor: graph::ConeExtractor,
-    /// Cell arena index → compiled gate-program index (`NO_INDEX` if none).
-    gate_of_cell: Vec<u32>,
-    /// Dense never-overwrite bitmap of the constraint-forced nets.
-    forced_mask: Vec<bool>,
     /// Fanout-cone cells that compiled to gates, in arena order — the
     /// D-frontier scan set (identical iteration order to the full engine's
     /// live-cell walk, restricted to the cells that can carry an effect).
@@ -156,15 +153,9 @@ struct ClipEngine {
 }
 
 impl ClipEngine {
-    fn new(netlist: &Netlist, program: &CompiledProgram, forced: &HashMap<NetId, Logic>) -> Self {
-        let mut forced_mask = vec![false; netlist.num_nets()];
-        for &net in forced.keys() {
-            forced_mask[net.index()] = true;
-        }
+    fn new(netlist: &Netlist) -> Self {
         ClipEngine {
             extractor: graph::ConeExtractor::new(netlist),
-            gate_of_cell: program.gate_index_by_cell(),
-            forced_mask,
             fanout_cells: Vec::new(),
             fanout_gates: Vec::new(),
             neighborhood: Vec::new(),
@@ -175,7 +166,7 @@ impl ClipEngine {
 
     /// Extracts the fanout cone of `site_net` and lowers it into the clipped
     /// faulty-machine views.
-    fn prepare(&mut self, netlist: &Netlist, observation_nets: &[NetId], site_net: NetId) {
+    fn prepare(&mut self, frame: &Frame<'_>, site_net: NetId) {
         for &n in &self.neighborhood {
             self.net_in_neighborhood[n as usize] = false;
         }
@@ -186,7 +177,6 @@ impl ClipEngine {
 
         let ClipEngine {
             extractor,
-            gate_of_cell,
             fanout_cells,
             fanout_gates,
             neighborhood,
@@ -201,9 +191,9 @@ impl ClipEngine {
             }
         };
         reach(site_net);
-        for &cell_id in extractor.fanout_cone_with(netlist, &[site_net]) {
-            let cell = netlist.cell(cell_id);
-            let g = gate_of_cell[cell_id.index()];
+        for &cell_id in extractor.fanout_cone_with(frame.netlist(), &[site_net]) {
+            let cell = frame.netlist().cell(cell_id);
+            let g = frame.gate_of(cell_id);
             if g != NO_INDEX {
                 // Arena order: the extractor returns cells sorted by index.
                 fanout_cells.push(cell_id);
@@ -219,7 +209,7 @@ impl ClipEngine {
         // Gate indices are topological; the sorted subset is a valid
         // evaluation order.
         self.fanout_gates.sort_unstable();
-        for &net in observation_nets {
+        for &net in frame.observation_nets() {
             if self.net_in_neighborhood[net.index()] {
                 self.obs_nets.push(net);
             }
@@ -248,13 +238,8 @@ struct SearchScratch {
 /// on the simulation path (which is why `generate` takes `&mut self`).
 #[derive(Debug)]
 pub struct Podem<'a> {
-    netlist: &'a Netlist,
-    sim: CombSim<'a>,
+    frame: Frame<'a>,
     config: PodemConfig,
-    forced: HashMap<NetId, Logic>,
-    controllable: HashSet<NetId>,
-    observation_nets: Vec<NetId>,
-    observation_pins: HashSet<(CellId, netlist::PinIndex)>,
     scratch: SimScratch,
     good_buf: NetValues,
     faulty_buf: NetValues,
@@ -270,9 +255,6 @@ pub struct Podem<'a> {
     scoap: Option<Scoap>,
     clip: Option<ClipEngine>,
     search: SearchScratch,
-    /// Dense membership bitmap of `observation_nets` — the target set of the
-    /// X-path reachability check.
-    is_obs_net: Vec<bool>,
 }
 
 impl<'a> Podem<'a> {
@@ -286,65 +268,28 @@ impl<'a> Podem<'a> {
         constraints: &ConstraintSet,
         config: PodemConfig,
     ) -> Result<Self, graph::CombinationalLoop> {
-        let sim = CombSim::new(netlist)?;
-        let forced = constraints.forced_nets.clone();
-        let mut controllable = HashSet::new();
-        for net in netlist.primary_input_nets() {
-            if !forced.contains_key(&net) {
-                controllable.insert(net);
-            }
-        }
-        if constraints.control_ff_outputs {
-            for ff in netlist.sequential_cells() {
-                if let Some(q) = netlist.output_net(ff) {
-                    if !forced.contains_key(&q) {
-                        controllable.insert(q);
-                    }
-                }
-            }
-        }
-        let mut observation_nets = Vec::new();
-        let mut observation_pins = HashSet::new();
-        for po in netlist.primary_outputs() {
-            if constraints.masked_outputs.contains(&po) {
-                continue;
-            }
-            observation_nets.push(netlist.cell(po).inputs()[0]);
-            observation_pins.insert((po, 0));
-        }
-        if constraints.observe_ff_inputs {
-            for ff in netlist.sequential_cells() {
-                for (pin, &net) in netlist.cell(ff).inputs().iter().enumerate() {
-                    observation_nets.push(net);
-                    observation_pins.insert((ff, pin as netlist::PinIndex));
-                }
-            }
-        }
-        observation_nets.sort_unstable();
-        observation_nets.dedup();
-        let mut scratch = sim.scratch();
-        let mut good_buf = sim.blank_values();
-        let faulty_buf = sim.blank_values();
+        let frame = Frame::new(netlist, constraints)?;
+        let mut scratch = frame.sim().scratch();
+        let mut good_buf = frame.sim().blank_values();
+        let faulty_buf = frame.sim().blank_values();
         let scoap = if config.scoap_guidance {
             Some(compute_scoap(netlist, constraints)?)
         } else {
             None
         };
-        let clip = config
-            .cone_clip
-            .then(|| ClipEngine::new(netlist, sim.program(), &forced));
+        let clip = config.cone_clip.then(|| ClipEngine::new(netlist));
         if clip.is_some() {
             // Baseline of the incremental good machine: ties and forced nets
             // applied, every free net X. The search applies and retracts its
             // assignments through the event queue, always returning here.
-            sim.propagate_with(&mut good_buf, &forced, None, &mut scratch);
+            frame.simulate([], None, &mut good_buf, &mut scratch);
         }
         let search = SearchScratch {
             heap: std::collections::BinaryHeap::new(),
             dirty: vec![
                 false;
                 if clip.is_some() {
-                    sim.program().num_gates()
+                    frame.sim().program().num_gates()
                 } else {
                     0
                 }
@@ -353,18 +298,9 @@ impl<'a> Podem<'a> {
             touched: Vec::new(),
             stack: Vec::new(),
         };
-        let mut is_obs_net = vec![false; netlist.num_nets()];
-        for &net in &observation_nets {
-            is_obs_net[net.index()] = true;
-        }
         Ok(Podem {
-            netlist,
-            sim,
+            frame,
             config,
-            forced,
-            controllable,
-            observation_nets,
-            observation_pins,
             scratch,
             good_buf,
             faulty_buf,
@@ -375,7 +311,6 @@ impl<'a> Podem<'a> {
             scoap,
             clip,
             search,
-            is_obs_net,
         })
     }
 
@@ -422,35 +357,11 @@ impl<'a> Podem<'a> {
             .is_some_and(|d| std::time::Instant::now() >= d)
     }
 
-    /// The net carrying the fault-free value of the fault site.
-    fn site_net(&self, fault: StuckAt) -> Option<NetId> {
-        match fault.site {
-            FaultSite::CellOutput { cell } => self.netlist.output_net(cell),
-            FaultSite::CellInput { cell, pin } => Some(self.netlist.input_net(cell, pin)),
-        }
-    }
-
-    fn simulate_into(
-        &self,
-        assignments: &HashMap<NetId, Logic>,
-        fault: Option<StuckAt>,
-        values: &mut NetValues,
-        scratch: &mut SimScratch,
-    ) {
-        values.fill(Logic::X);
-        for (&net, &v) in assignments {
-            values[net.index()] = v;
-        }
-        self.sim
-            .propagate_with(values, &self.forced, fault, scratch);
-    }
-
     /// Sets a controllable net of the good machine and queues its load gates
     /// for re-evaluation. Call [`good_flush`](Self::good_flush) before the
     /// next read.
     fn good_set(
         &self,
-        clip: &ClipEngine,
         search: &mut SearchScratch,
         values: &mut NetValues,
         net: NetId,
@@ -460,12 +371,12 @@ impl<'a> Podem<'a> {
             return;
         }
         values[net.index()] = value;
-        self.enqueue_loads(clip, search, net);
+        self.enqueue_loads(search, net);
     }
 
-    fn enqueue_loads(&self, clip: &ClipEngine, search: &mut SearchScratch, net: NetId) {
-        for load in self.netlist.loads_of(net) {
-            let g = clip.gate_of_cell[load.cell.index()];
+    fn enqueue_loads(&self, search: &mut SearchScratch, net: NetId) {
+        for load in self.frame.netlist().loads_of(net) {
+            let g = self.frame.gate_of(load.cell);
             if g != NO_INDEX && !search.dirty[g as usize] {
                 search.dirty[g as usize] = true;
                 search.heap.push(std::cmp::Reverse(g));
@@ -477,18 +388,18 @@ impl<'a> Podem<'a> {
     /// ascending (topological) program order, so each is visited at most once
     /// per wave and the result equals a from-scratch propagation — the
     /// incremental update changes values, never decisions.
-    fn good_flush(&self, clip: &ClipEngine, search: &mut SearchScratch, values: &mut NetValues) {
-        let program = self.sim.program();
+    fn good_flush(&self, search: &mut SearchScratch, values: &mut NetValues) {
+        let program = self.frame.sim().program();
         while let Some(std::cmp::Reverse(g)) = search.heap.pop() {
             let gi = g as usize;
             search.dirty[gi] = false;
             let new = program.eval_gate_scalar(gi, values);
             let out = program.gate_output(gi) as usize;
-            if clip.forced_mask[out] || values[out] == new {
+            if self.frame.forced_mask()[out] || values[out] == new {
                 continue;
             }
             values[out] = new;
-            self.enqueue_loads(clip, search, NetId::from_index(out));
+            self.enqueue_loads(search, NetId::from_index(out));
         }
     }
 
@@ -514,48 +425,19 @@ impl<'a> Podem<'a> {
         // source drivers are overridden unconditionally inside
         // `propagate_scalar_clipped`, also matching the full engine.
         if let FaultSite::CellOutput { cell } = fault.site {
-            if self.netlist.cell(cell).kind().is_combinational()
-                && !clip.forced_mask[site_net.index()]
+            if self.frame.netlist().cell(cell).kind().is_combinational()
+                && !self.frame.forced_mask()[site_net.index()]
             {
                 faulty[site_net.index()] = Logic::from_bool(fault.value);
             }
         }
-        self.sim.program().propagate_scalar_clipped(
-            self.netlist,
+        self.frame.sim().program().propagate_scalar_clipped(
+            self.frame.netlist(),
             faulty,
-            &clip.forced_mask,
+            self.frame.forced_mask(),
             Some(fault),
             &clip.fanout_gates,
         );
-    }
-
-    fn is_detected(
-        &self,
-        fault: StuckAt,
-        good: &NetValues,
-        faulty: &NetValues,
-        obs_nets: &[NetId],
-    ) -> bool {
-        // A difference at any observation net.
-        for &net in obs_nets {
-            let g = good[net.index()];
-            let f = faulty[net.index()];
-            if g.is_definite() && f.is_definite() && g != f {
-                return true;
-            }
-        }
-        // Branch fault directly on an observation pin: detected as soon as the
-        // fault-free value at that pin differs from the stuck value.
-        if let FaultSite::CellInput { cell, pin } = fault.site {
-            if self.observation_pins.contains(&(cell, pin)) {
-                let net = self.netlist.input_net(cell, pin);
-                let g = good[net.index()];
-                if g.is_definite() && g != Logic::from_bool(fault.value) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Cells on the D-frontier: the fault effect is present on at least one
@@ -581,7 +463,7 @@ impl<'a> Podem<'a> {
                 }
             }
             None => {
-                for (id, cell) in self.netlist.live_cells() {
+                for (id, cell) in self.frame.netlist().live_cells() {
                     if !cell.kind().is_combinational() {
                         continue;
                     }
@@ -600,7 +482,7 @@ impl<'a> Podem<'a> {
         faulty: &NetValues,
         frontier: &mut Vec<CellId>,
     ) {
-        let cell = self.netlist.cell(id);
+        let cell = self.frame.netlist().cell(id);
         let Some(out) = cell.output() else { return };
         let out_diff = {
             let g = good[out.index()];
@@ -619,7 +501,7 @@ impl<'a> Podem<'a> {
         // its input even though the driving net value is unchanged.
         if let FaultSite::CellInput { cell: fc, pin } = fault.site {
             if fc == id {
-                let g = good[self.netlist.input_net(fc, pin).index()];
+                let g = good[self.frame.netlist().input_net(fc, pin).index()];
                 if g.is_definite() && g != Logic::from_bool(fault.value) {
                     has_input_diff = true;
                 }
@@ -677,15 +559,15 @@ impl<'a> Podem<'a> {
         good: &NetValues,
         assignments: &HashMap<NetId, Logic>,
     ) -> Option<(NetId, bool)> {
-        for _ in 0..self.netlist.num_cells() + 1 {
-            if self.controllable.contains(&net) && !assignments.contains_key(&net) {
+        for _ in 0..self.frame.netlist().num_cells() + 1 {
+            if self.frame.is_controllable(net) && !assignments.contains_key(&net) {
                 return Some((net, value));
             }
-            if self.forced.contains_key(&net) {
+            if self.frame.forced_mask()[net.index()] {
                 return None;
             }
-            let driver = self.netlist.driver_of(net)?;
-            let cell = self.netlist.cell(driver);
+            let driver = self.frame.netlist().driver_of(net)?;
+            let cell = self.frame.netlist().cell(driver);
             let kind = cell.kind();
             if !kind.is_combinational() {
                 // Reached a flip-flop or port that is not controllable.
@@ -824,7 +706,7 @@ impl<'a> Podem<'a> {
         };
         search.stack.clear();
         for &gate in frontier {
-            let Some(out) = self.netlist.cell(gate).output() else {
+            let Some(out) = self.frame.netlist().cell(gate).output() else {
                 continue;
             };
             let n = out.index();
@@ -837,12 +719,12 @@ impl<'a> Podem<'a> {
         let mut found = false;
         'walk: while let Some(n) = search.stack.pop() {
             let n = n as usize;
-            if self.is_obs_net[n] {
+            if self.frame.is_observation_net(NetId::from_index(n)) {
                 found = true;
                 break 'walk;
             }
-            for load in self.netlist.loads_of(NetId::from_index(n)) {
-                let cell = self.netlist.cell(load.cell);
+            for load in self.frame.netlist().loads_of(NetId::from_index(n)) {
+                let cell = self.frame.netlist().cell(load.cell);
                 if cell.is_dead() || !cell.kind().is_combinational() {
                     continue;
                 }
@@ -878,7 +760,8 @@ impl<'a> Podem<'a> {
                 let mut best: Option<(u32, CellId)> = None;
                 for &gate in frontier {
                     let out = self
-                        .netlist
+                        .frame
+                        .netlist()
                         .cell(gate)
                         .output()
                         .expect("frontier gates drive a net");
@@ -890,7 +773,7 @@ impl<'a> Podem<'a> {
                 best?.1
             }
         };
-        let cell = self.netlist.cell(gate);
+        let cell = self.frame.netlist().cell(gate);
         let noncontrolling = match cell.kind().controlling_value() {
             Some(cv) => !cv,
             None => true,
@@ -907,7 +790,7 @@ impl<'a> Podem<'a> {
         // gates when SCOAP re-ordered the scan; fall back to scan order then.
         let pin = if x_inputs.is_empty() {
             return frontier.iter().find_map(|&g| {
-                let c = self.netlist.cell(g);
+                let c = self.frame.netlist().cell(g);
                 c.inputs()
                     .iter()
                     .find(|&&n| good[n.index()] == Logic::X)
@@ -934,16 +817,16 @@ impl<'a> Podem<'a> {
         clip: Option<&mut ClipEngine>,
         search: &mut SearchScratch,
     ) -> (PodemOutcome, usize, bool) {
-        let Some(site_net) = self.site_net(fault) else {
+        let Some(site_net) = self.frame.site_net(fault) else {
             // Detached output pin: nothing to excite or observe — redundant in
             // this frame.
             return (PodemOutcome::Redundant, 0, false);
         };
-        if good.len() != self.netlist.num_nets() {
-            *good = self.sim.blank_values();
+        if good.len() != self.frame.netlist().num_nets() {
+            *good = self.frame.sim().blank_values();
         }
-        if faulty.len() != self.netlist.num_nets() {
-            *faulty = self.sim.blank_values();
+        if faulty.len() != self.frame.netlist().num_nets() {
+            *faulty = self.frame.sim().blank_values();
         }
         // Clip the search to the fault's fanout cone: one cheap extraction
         // per fault buys faulty simulation, D-frontier scanning and detection
@@ -952,12 +835,12 @@ impl<'a> Podem<'a> {
         // change actually reaches.
         let clip: Option<&ClipEngine> = match clip {
             Some(c) => {
-                c.prepare(self.netlist, &self.observation_nets, site_net);
+                c.prepare(&self.frame, site_net);
                 Some(c)
             }
             None => None,
         };
-        let obs_nets: &[NetId] = clip.map_or(&self.observation_nets, |c| &c.obs_nets);
+        let obs_nets: &[NetId] = clip.map_or(self.frame.observation_nets(), |c| &c.obs_nets);
         let stuck = Logic::from_bool(fault.value);
         let mut assignments: HashMap<NetId, Logic> = HashMap::new();
         // Decision stack: (net, current value, tried_both).
@@ -979,12 +862,14 @@ impl<'a> Podem<'a> {
                     self.simulate_faulty_clipped(c, fault, site_net, good, faulty);
                 }
                 None => {
-                    self.simulate_into(&assignments, None, good, scratch);
-                    self.simulate_into(&assignments, Some(fault), faulty, scratch);
+                    let assigned = || assignments.iter().map(|(&net, &v)| (net, v));
+                    self.frame.simulate(assigned(), None, good, scratch);
+                    self.frame
+                        .simulate(assigned(), Some(fault), faulty, scratch);
                 }
             }
 
-            if self.is_detected(fault, good, faulty, obs_nets) {
+            if self.frame.detects(fault, good, faulty, obs_nets) {
                 let pattern = TestPattern {
                     assignments: assignments
                         .iter()
@@ -1019,9 +904,9 @@ impl<'a> Podem<'a> {
                 Some((input, value)) => {
                     assignments.insert(input, Logic::from_bool(value));
                     stack.push((input, value, false));
-                    if let Some(c) = clip {
-                        self.good_set(c, search, good, input, Logic::from_bool(value));
-                        self.good_flush(c, search, good);
+                    if clip.is_some() {
+                        self.good_set(search, good, input, Logic::from_bool(value));
+                        self.good_flush(search, good);
                     }
                 }
                 None => {
@@ -1035,8 +920,8 @@ impl<'a> Podem<'a> {
                             None => break 'search PodemOutcome::Redundant,
                             Some((input, value, tried_both)) => {
                                 assignments.remove(&input);
-                                if let Some(c) = clip {
-                                    self.good_set(c, search, good, input, Logic::X);
+                                if clip.is_some() {
+                                    self.good_set(search, good, input, Logic::X);
                                 }
                                 if !tried_both {
                                     backtracks += 1;
@@ -1045,9 +930,8 @@ impl<'a> Podem<'a> {
                                     }
                                     assignments.insert(input, Logic::from_bool(!value));
                                     stack.push((input, !value, true));
-                                    if let Some(c) = clip {
+                                    if clip.is_some() {
                                         self.good_set(
-                                            c,
                                             search,
                                             good,
                                             input,
@@ -1059,8 +943,8 @@ impl<'a> Podem<'a> {
                             }
                         }
                     }
-                    if let Some(c) = clip {
-                        self.good_flush(c, search, good);
+                    if clip.is_some() {
+                        self.good_flush(search, good);
                     }
                 }
             }
@@ -1068,11 +952,11 @@ impl<'a> Podem<'a> {
 
         // Retract this fault's surviving assignments so the incremental good
         // machine returns to its baseline for the next fault.
-        if let Some(c) = clip {
+        if clip.is_some() {
             for &net in assignments.keys() {
-                self.good_set(c, search, good, net, Logic::X);
+                self.good_set(search, good, net, Logic::X);
             }
-            self.good_flush(c, search, good);
+            self.good_flush(search, good);
         }
         (outcome, backtracks, interrupted)
     }

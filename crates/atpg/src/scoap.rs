@@ -173,18 +173,8 @@ pub fn compute_scoap(
     }
 
     // Observation points.
-    for po in netlist.primary_outputs() {
-        if constraints.masked_outputs.contains(&po) {
-            continue;
-        }
-        co[netlist.cell(po).inputs()[0].index()] = 0;
-    }
-    if constraints.observe_ff_inputs {
-        for ff in netlist.sequential_cells() {
-            for &net in netlist.cell(ff).inputs() {
-                co[net.index()] = 0;
-            }
-        }
+    for (_, _, net) in constraints.observation_points(netlist) {
+        co[net.index()] = 0;
     }
 
     // Backward observability in reverse topological order.

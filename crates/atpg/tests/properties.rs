@@ -2,8 +2,9 @@
 //! analysis is sound, the packed parallel-fault simulator agrees with the
 //! scalar reference simulator, PODEM tests really detect their target fault,
 //! collapsed-equivalent faults share their detection outcome, and the SAT
-//! proof backend agrees with unlimited-budget PODEM and with exhaustive
-//! enumeration under random mission constraints.
+//! proof backend agrees with unlimited-budget PODEM (across flip-flop
+//! boundaries too) and with exhaustive enumeration under random mission
+//! constraints.
 
 use atpg::proof::{prove_faults, CampaignOptions, ProofConfig};
 use atpg::{
@@ -11,7 +12,7 @@ use atpg::{
     InputVector, Logic, Podem, PodemConfig, PodemOutcome, ProofOutcome, SatProver, SatVerdict,
     SeqSim,
 };
-use faultmodel::{collapse, FaultClass, FaultList, StuckAt};
+use faultmodel::{collapse, FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -499,6 +500,64 @@ proptest! {
         }
     }
 
+    /// PODEM and the SAT backend search one full-scan frame, flip-flop
+    /// boundaries included: on random sequential circuits under random ties,
+    /// output masks and scan assumptions (flip-flop input pins observed or
+    /// not, flip-flop outputs controllable or not), every verdict the SAT
+    /// backend concludes equals unlimited-budget PODEM's. SAT declines a
+    /// fault whose fan-in reaches an uncontrolled flip-flop output; those
+    /// faults are skipped.
+    #[test]
+    fn podem_and_sat_agree_across_flip_flop_boundaries(
+        spec in prop::collection::vec(any::<u8>(), 4..16),
+        tie_mask in 0u8..32,
+        tie_values in 0u8..32,
+        output_mask in 0u8..8,
+        observe_ff_inputs in any::<bool>(),
+        control_ff_outputs in any::<bool>(),
+    ) {
+        let (netlist, inputs, _) = build_seq_circuit(&spec);
+        let mut constraints = ConstraintSet::full_scan();
+        constraints.observe_ff_inputs = observe_ff_inputs;
+        constraints.control_ff_outputs = control_ff_outputs;
+        for (i, &net) in inputs.iter().enumerate() {
+            if (tie_mask >> i) & 1 == 1 {
+                constraints.tie_net(net, (tie_values >> i) & 1 == 1);
+            }
+        }
+        for (i, &po) in netlist.primary_outputs().iter().enumerate() {
+            if (output_mask >> i) & 1 == 1 {
+                constraints.mask_output(po);
+            }
+        }
+        let mut podem = Podem::new(
+            &netlist,
+            &constraints,
+            PodemConfig { backtrack_limit: 1_000_000, ..PodemConfig::default() },
+        )
+        .unwrap();
+        let mut sat = SatProver::new(&netlist, &constraints, u64::MAX).unwrap();
+        for &fault in FaultList::full_universe(&netlist).faults() {
+            let sat_verdict = match sat.prove(fault) {
+                SatVerdict::Unsupported => continue,
+                SatVerdict::TestExists => ProofOutcome::TestExists,
+                SatVerdict::ProvenUntestable => ProofOutcome::ProvenUntestable,
+                SatVerdict::Aborted => ProofOutcome::Aborted,
+            };
+            prop_assert!(
+                sat_verdict != ProofOutcome::Aborted,
+                "unbounded SAT aborted on {:?}",
+                fault
+            );
+            prop_assert_eq!(
+                podem.prove(fault),
+                sat_verdict,
+                "PODEM and SAT disagree on {:?}",
+                fault
+            );
+        }
+    }
+
     /// The cone-clipped, SCOAP-guided PODEM engine returns exactly the same
     /// `ProofOutcome` as the full-netlist engine on random constrained
     /// netlists: clipping changes no decision, and with a budget generous
@@ -756,28 +815,4 @@ fn proof_fanout_chunk_boundaries_match_per_fault_proofs() {
             );
         }
     }
-}
-
-#[test]
-fn analysis_and_podem_agree_on_redundant_classic() {
-    // y = a OR (a AND b): the AND output stuck-at-0 is redundant; both the
-    // fast structural pass (with PODEM enabled) and PODEM alone must agree.
-    let mut b = NetlistBuilder::new("red");
-    let a = b.input("a");
-    let c = b.input("b");
-    let t = b.and2(a, c);
-    let y = b.or2(a, t);
-    b.output("y", y);
-    let n = b.finish();
-    let and = n.driver_of(t).unwrap();
-    let mut faults = FaultList::full_universe(&n);
-    let analysis = StructuralAnalysis::new(atpg::AnalysisConfig {
-        prove_redundancy: true,
-        ..atpg::AnalysisConfig::default()
-    });
-    analysis.run(&n, &mut faults).unwrap();
-    assert_eq!(
-        faults.class_of(StuckAt::output(and, false)),
-        Some(FaultClass::Redundant)
-    );
 }

@@ -2,7 +2,7 @@
 //! than 1 second": measure the runtime of our structural untestability
 //! analysis on the manipulated industrial-like SoC.
 
-use atpg::analysis::{AnalysisConfig, StructuralAnalysis};
+use atpg::analysis::StructuralAnalysis;
 use bench::industrial_soc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use faultmodel::FaultList;
@@ -13,20 +13,14 @@ fn analysis_runtime(c: &mut Criterion) {
     let soc = industrial_soc();
     let tied: Vec<(netlist::NetId, bool)> = soc.mission_tied_inputs().into_iter().collect();
     let manipulation = debug_control_manipulation(&tied);
-    let config = AnalysisConfig {
-        constraints: manipulation.to_constraints(),
-        ..AnalysisConfig::default()
-    };
+    let constraints = manipulation.to_constraints();
 
     // One measured reference run for the report.
     let start = Instant::now();
     let mut faults = FaultList::full_universe(&soc.netlist);
-    let outcome = StructuralAnalysis::new(AnalysisConfig {
-        constraints: manipulation.to_constraints(),
-        ..AnalysisConfig::default()
-    })
-    .run(&soc.netlist, &mut faults)
-    .expect("analysis");
+    let outcome = StructuralAnalysis::with_constraints(constraints.clone())
+        .run(&soc.netlist, &mut faults)
+        .expect("analysis");
     let elapsed = start.elapsed();
     println!("--- reproduced §4 runtime claim -------------------------------");
     println!("fault universe          : {}", faults.len());
@@ -46,7 +40,7 @@ fn analysis_runtime(c: &mut Criterion) {
     group.bench_function("structural_analysis_manipulated_soc", |b| {
         b.iter(|| {
             let mut faults = FaultList::full_universe(&soc.netlist);
-            StructuralAnalysis::new(config.clone())
+            StructuralAnalysis::with_constraints(constraints.clone())
                 .run(&soc.netlist, &mut faults)
                 .expect("analysis")
                 .total_untestable()

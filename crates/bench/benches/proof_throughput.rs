@@ -1,7 +1,9 @@
 //! Throughput of the cone-clipped, SCOAP-guided, collapse-scheduled proof
 //! stage over the full survivor set of the reduced SoC — the workload behind
-//! the `proof_throughput` section of `BENCH_flow.json` and the third CI
-//! perf-smoke gate.
+//! the `proof_throughput` section of `BENCH_flow.json`. The third CI
+//! perf-smoke gate holds that number against the `atpg-proof` phase of its
+//! pipeline run, which proves the same worklist on the same single-threaded
+//! portfolio.
 //!
 //! The preparation (structural rules + SBST fault simulation, which select
 //! the genuine survivors) runs once outside the measured region; the

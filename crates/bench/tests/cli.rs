@@ -187,6 +187,22 @@ fn bad_timeout_values_are_rejected_cleanly() {
 }
 
 #[test]
+fn timeouts_past_the_last_instant_mean_no_deadline() {
+    let output = untestable(&[
+        circuit("c17.bench").to_str().unwrap(),
+        "--stage-timeout",
+        "1e19",
+        "--fault-timeout",
+        "1e19",
+        "--json",
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{}", stderr_line(&output));
+    assert!(output.stderr.is_empty(), "{}", stderr_line(&output));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("\"panicked\":0"), "{stdout}");
+}
+
+#[test]
 fn json_flag_prints_one_parseable_document_and_nothing_else() {
     use online_untestable::JsonValue;
 

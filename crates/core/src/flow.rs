@@ -23,7 +23,7 @@ use crate::rules::{
     memory_map_manipulation, scan_rule,
 };
 use crate::toggle::analyze_toggles;
-use atpg::analysis::{AnalysisConfig, StructuralAnalysis};
+use atpg::analysis::StructuralAnalysis;
 use atpg::checkpoint::Checkpoint;
 use atpg::proof::{prove_faults, CampaignError, CampaignOptions, EngineBreakdown, ProofConfig};
 use atpg::{Budget, CancelToken, ConstraintSet, FailurePlan, FaultSim, InputVector, ProofOutcome};
@@ -163,17 +163,11 @@ impl ProofStageConfig {
 /// Configuration of the identification flow.
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
-    /// Classify baseline structural untestability first so that it is not
-    /// attributed to any on-line source.
-    pub classify_baseline: bool,
     /// How to find the tied-off control inputs.
     pub discovery: DiscoveryMode,
     /// Cycle budget per SBST program when `discovery` is
     /// [`DiscoveryMode::ToggleAnalysis`].
     pub toggle_max_cycles: usize,
-    /// Also run PODEM redundancy proofs inside every structural analysis
-    /// (slower, catches a few additional redundant faults).
-    pub prove_redundancy: bool,
     /// Run the §3.1 scan rule.
     pub run_scan: bool,
     /// Run the §3.2.1 debug control rule.
@@ -198,10 +192,8 @@ pub struct FlowConfig {
 impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
-            classify_baseline: true,
             discovery: DiscoveryMode::Specification,
             toggle_max_cycles: 600,
-            prove_redundancy: false,
             run_scan: true,
             run_debug_control: true,
             run_debug_observation: true,
@@ -385,10 +377,9 @@ impl IdentificationFlow {
             engine_breakdown: None,
         };
 
-        // Stage 0: baseline structural untestability.
-        if self.config.classify_baseline {
-            ctx.record("baseline", |ctx| self.stage_baseline(ctx))?;
-        }
+        // Stage 0: baseline structural untestability, classified first so
+        // that it is not attributed to any on-line source.
+        ctx.record("baseline", |ctx| self.stage_baseline(ctx))?;
         // Stages 1–4: the §3 screening rules on the manipulated circuit,
         // each gated on the design actually having that structure. The
         // debug-control gate passes when the design declares control inputs
@@ -443,12 +434,9 @@ impl IdentificationFlow {
 
     /// Phase 0: baseline structural untestability.
     fn stage_baseline(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
-        let outcome = StructuralAnalysis::new(AnalysisConfig {
-            prove_redundancy: self.config.prove_redundancy,
-            ..AnalysisConfig::default()
-        })
-        .run(ctx.design.netlist(), &mut ctx.master)
-        .map_err(|e| FlowError::Analysis(e.to_string()))?;
+        let outcome = StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
+            .run(ctx.design.netlist(), &mut ctx.master)
+            .map_err(|e| FlowError::Analysis(e.to_string()))?;
         ctx.baseline_structural = outcome.total_untestable();
         Ok(ctx.baseline_structural)
     }
@@ -478,12 +466,8 @@ impl IdentificationFlow {
     fn stage_debug_control(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
         let tied = self.control_inputs_cached(ctx)?;
         let manipulation = debug_control_manipulation(&tied);
-        let (analysed, _) = analyse_manipulation(
-            ctx.design.netlist(),
-            &manipulation,
-            self.config.prove_redundancy,
-        )
-        .map_err(FlowError::Analysis)?;
+        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
+            .map_err(FlowError::Analysis)?;
         Ok(ctx.master.import_classes(&analysed, |class| {
             class
                 .is_structurally_untestable()
@@ -495,12 +479,8 @@ impl IdentificationFlow {
     /// spec-masked observation points.
     fn stage_debug_observation(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
         let manipulation = debug_observation_manipulation(&ctx.specs.observation);
-        let (analysed, _) = analyse_manipulation(
-            ctx.design.netlist(),
-            &manipulation,
-            self.config.prove_redundancy,
-        )
-        .map_err(FlowError::Analysis)?;
+        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
+            .map_err(FlowError::Analysis)?;
         Ok(ctx.master.import_classes(&analysed, |class| {
             class
                 .is_structurally_untestable()
@@ -519,12 +499,8 @@ impl IdentificationFlow {
             .expect("stage gated on the spec");
         let manipulation =
             memory_map_manipulation(ctx.design.netlist(), &spec.address_registers, &spec.map);
-        let (analysed, _) = analyse_manipulation(
-            ctx.design.netlist(),
-            &manipulation,
-            self.config.prove_redundancy,
-        )
-        .map_err(FlowError::Analysis)?;
+        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
+            .map_err(FlowError::Analysis)?;
         Ok(ctx.master.import_classes(&analysed, |class| {
             class
                 .is_structurally_untestable()

@@ -8,7 +8,7 @@
 //! findings into the master fault list.
 
 use crate::manipulate::Manipulation;
-use atpg::analysis::{AnalysisConfig, StructuralAnalysis};
+use atpg::analysis::StructuralAnalysis;
 use faultmodel::{FaultList, StuckAt};
 use netlist::{CellId, NetId, Netlist};
 
@@ -144,15 +144,9 @@ pub fn memory_map_manipulation(
 pub fn analyse_manipulation(
     netlist: &Netlist,
     manipulation: &Manipulation,
-    prove_redundancy: bool,
 ) -> Result<(FaultList, usize), String> {
     let mut faults = FaultList::full_universe(netlist);
-    let config = AnalysisConfig {
-        constraints: manipulation.to_constraints(),
-        prove_redundancy,
-        ..AnalysisConfig::default()
-    };
-    let outcome = StructuralAnalysis::new(config)
+    let outcome = StructuralAnalysis::with_constraints(manipulation.to_constraints())
         .run(netlist, &mut faults)
         .map_err(|e| e.to_string())?;
     Ok((faults, outcome.total_untestable()))
@@ -213,8 +207,7 @@ mod tests {
             .map(|n| (n, false))
             .collect();
         let manipulation = debug_control_manipulation(&tied);
-        let (faults, untestable) =
-            analyse_manipulation(&soc.netlist, &manipulation, false).unwrap();
+        let (faults, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
         assert!(
             untestable > 0,
             "tying the debug inputs must kill some faults"
@@ -231,8 +224,7 @@ mod tests {
     fn observation_analysis_kills_observation_buffers() {
         let soc = small_soc();
         let manipulation = debug_observation_manipulation(&soc.debug.observation_ports);
-        let (faults, untestable) =
-            analyse_manipulation(&soc.netlist, &manipulation, false).unwrap();
+        let (faults, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
         assert!(untestable > 0);
         for &buf in &soc.debug.observation_buffers {
             for fault in faults.faults_of_cell(buf) {
@@ -262,7 +254,7 @@ mod tests {
         // Two tie steps (D and Q) per frozen register bit.
         assert_eq!(manipulation.len(), 2 * frozen_regs);
         assert!(frozen_regs > 0);
-        let (_, untestable) = analyse_manipulation(&soc.netlist, &manipulation, false).unwrap();
+        let (_, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
         assert!(untestable > 0);
     }
 
@@ -270,7 +262,7 @@ mod tests {
     fn baseline_analysis_is_mostly_testable() {
         let soc = small_soc();
         let (faults, untestable) =
-            analyse_manipulation(&soc.netlist, &Manipulation::new(), false).unwrap();
+            analyse_manipulation(&soc.netlist, &Manipulation::new()).unwrap();
         // Without any mission constraint only a small residue (tie cells,
         // padding in the reduced register file) is structurally untestable.
         let fraction = untestable as f64 / faults.len() as f64;

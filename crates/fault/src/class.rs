@@ -68,7 +68,9 @@ pub enum FaultClass {
     Detected,
     /// Possibly detected (fault effect reaches an observation point as X).
     PossiblyDetected,
-    /// Structurally untestable: proven redundant by ATPG.
+    /// Structurally untestable: proven redundant by ATPG. No stage of the
+    /// identification flow assigns it (its proofs are
+    /// `OnlineUntestable(AtpgProof)`); it stays part of the report schema.
     Redundant,
     /// Structurally untestable: unexcitable or unobservable because of a tied
     /// value (TetraMAX "UT — untestable due to tied value").

@@ -149,11 +149,6 @@ impl FaultList {
         self.index_of(fault).map(|i| self.classes[i])
     }
 
-    /// Classification by universe index.
-    pub fn class_at(&self, index: usize) -> FaultClass {
-        self.classes[index]
-    }
-
     /// Sets the classification of `fault` unconditionally. Returns `false`
     /// if the fault is not in the universe.
     pub fn classify(&mut self, fault: StuckAt, class: FaultClass) -> bool {

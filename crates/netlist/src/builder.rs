@@ -323,13 +323,6 @@ impl NetlistBuilder {
         d.iter().map(|&bit| self.dff(bit, ck)).collect()
     }
 
-    /// A register with asynchronous reset.
-    pub fn register_r(&mut self, d: &[NetId], ck: NetId, rst: NetId, reset: Reset) -> Word {
-        d.iter()
-            .map(|&bit| self.dff_r(bit, ck, rst, reset))
-            .collect()
-    }
-
     /// A register with a write-enable: each bit holds its value when `en = 0`
     /// (implemented with a feedback multiplexer in front of the flip-flop).
     pub fn register_en(&mut self, d: &[NetId], en: NetId, ck: NetId) -> Word {

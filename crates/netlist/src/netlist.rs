@@ -324,20 +324,6 @@ impl Netlist {
         &self.nets[id.index()]
     }
 
-    /// Iterates over all cell ids (including dead cells).
-    pub fn cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        (0..self.cells.len()).map(CellId::from_index)
-    }
-
-    /// Iterates over the ids of live (not removed) cells.
-    pub fn live_cell_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.dead)
-            .map(|(i, _)| CellId::from_index(i))
-    }
-
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
         (0..self.nets.len()).map(NetId::from_index)

@@ -29,7 +29,8 @@ pub use online_untestable;
 
 /// Commonly used types from every workspace crate.
 pub mod prelude {
-    pub use atpg::analysis::{AnalysisConfig, StructuralAnalysis};
+    pub use atpg::analysis::StructuralAnalysis;
+    pub use atpg::ConstraintSet;
     pub use cpu::soc::{Soc, SocBuilder};
     pub use dft::scan::ScanConfig;
     pub use faultmodel::{FaultClass, FaultList, StuckAt};

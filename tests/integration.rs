@@ -30,12 +30,12 @@ fn physical_manipulation_matches_constraint_analysis() {
 
     // Constraint-based analysis on the original design.
     let (_, untestable_constraints) =
-        analyse_manipulation(&soc.netlist, &manipulation, false).expect("analysis");
+        analyse_manipulation(&soc.netlist, &manipulation).expect("analysis");
 
     // Physically edited design, analysed without extra constraints.
     let modified = manipulation.apply(&soc.netlist);
     let mut faults = FaultList::full_universe(&modified);
-    let outcome = StructuralAnalysis::new(AnalysisConfig::default())
+    let outcome = StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
         .run(&modified, &mut faults)
         .expect("analysis");
 
