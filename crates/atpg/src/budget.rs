@@ -4,14 +4,17 @@
 //! A long identification campaign must be *boundable* and *interruptible*:
 //! one runaway SAT cone or one hung search must turn into an
 //! [`Aborted`](crate::podem::ProofOutcome::Aborted) verdict instead of
-//! wedging the whole run. The engines never kill threads — they poll. A
-//! [`Budget`] carries an optional shared [`CancelToken`], an optional
-//! whole-stage deadline and an optional per-fault wall-clock limit; the
-//! PODEM backtrack loop and the CDCL restart loop check it at their natural
-//! backoff points, so cancellation latency is bounded by one search step,
-//! never by one fault. (The fault-simulation fan-out polls no budget.) A
-//! limit so far away that its deadline would lie past the last
-//! representable instant sets no deadline.
+//! wedging the whole run. The engines never kill threads — they poll. The
+//! limits are fields of the campaign's
+//! [`ProofConfig`](crate::proof::ProofConfig): an optional shared
+//! [`CancelToken`], an optional whole-stage timeout and an optional
+//! per-fault wall-clock limit. [`prove_faults`](crate::proof::prove_faults)
+//! turns them into one crate-private budget that the PODEM backtrack loop
+//! and the CDCL restart loop check at their natural backoff points, so
+//! cancellation latency is bounded by one search step, never by one fault.
+//! (The fault-simulation fan-out polls no budget.) A limit so far away that
+//! its deadline would lie past the last representable instant sets no
+//! deadline.
 //!
 //! Every abort records *why* it happened ([`AbortReason`]), which the
 //! breakdown reporting and the checkpoint format both preserve: a
@@ -113,63 +116,40 @@ impl CancelToken {
     }
 }
 
-/// Wall-clock and cancellation limits for one proof campaign. The default
-/// is unlimited: no token, no deadline, no per-fault limit — exactly the
-/// pre-robustness behaviour.
+/// Wall-clock and cancellation limits for one proof campaign, built once
+/// by [`prove_faults`](crate::proof::prove_faults) from its configuration.
+/// The default is unlimited: no token, no deadline, no per-fault limit.
 #[derive(Clone, Debug, Default)]
-pub struct Budget {
+pub(crate) struct Budget {
     /// Cooperative stop flag shared with the caller (and, on request, with
     /// every engine poll point).
-    pub cancel: Option<CancelToken>,
+    pub(crate) cancel: Option<CancelToken>,
     /// Whole-stage deadline: faults not concluded by this instant come back
     /// [`AbortReason::Timeout`].
-    pub deadline: Option<Instant>,
+    deadline: Option<Instant>,
     /// Per-fault wall-clock limit, additionally capped by the stage
     /// deadline.
-    pub fault_timeout: Option<Duration>,
+    fault_timeout: Option<Duration>,
 }
 
 impl Budget {
-    /// No limits at all (the default).
-    pub fn unlimited() -> Self {
-        Budget::default()
-    }
-
-    /// Attaches a cancel token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the whole-stage deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the whole-stage deadline `timeout` from now. A deadline past the
-    /// last representable instant sets none.
-    pub fn with_stage_timeout(self, timeout: Duration) -> Self {
-        match Instant::now().checked_add(timeout) {
-            Some(deadline) => self.with_deadline(deadline),
-            None => self,
+    /// A budget whose stage deadline lies `stage_timeout` from now. A
+    /// deadline past the last representable instant sets none.
+    pub(crate) fn new(
+        cancel: Option<CancelToken>,
+        stage_timeout: Option<Duration>,
+        fault_timeout: Option<Duration>,
+    ) -> Self {
+        Budget {
+            cancel,
+            deadline: stage_timeout.and_then(|t| Instant::now().checked_add(t)),
+            fault_timeout,
         }
-    }
-
-    /// Sets the per-fault wall-clock limit.
-    pub fn with_fault_timeout(mut self, timeout: Duration) -> Self {
-        self.fault_timeout = Some(timeout);
-        self
-    }
-
-    /// Whether this budget can never stop anything.
-    pub fn is_unlimited(&self) -> bool {
-        self.cancel.is_none() && self.deadline.is_none() && self.fault_timeout.is_none()
     }
 
     /// Whether the whole stage should stop now (cancelled or past the
     /// deadline).
-    pub fn stage_stopped(&self) -> bool {
+    pub(crate) fn stage_stopped(&self) -> bool {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return true;
         }
@@ -180,7 +160,7 @@ impl Budget {
     /// `started`: the per-fault limit capped by the stage deadline (`None`
     /// when neither is set, or when both lie past the last representable
     /// instant).
-    pub fn fault_deadline(&self, started: Instant) -> Option<Instant> {
+    pub(crate) fn fault_deadline(&self, started: Instant) -> Option<Instant> {
         let per_fault = self.fault_timeout.and_then(|t| started.checked_add(t));
         match (per_fault, self.deadline) {
             (Some(f), Some(s)) => Some(f.min(s)),
@@ -191,7 +171,8 @@ impl Budget {
 
 /// Deterministic failure injection for the proof fan-out — the test harness
 /// behind the robustness regression suite. Indices refer to positions in the
-/// fault slice handed to the campaign. Production callers leave this unset;
+/// campaign's worklist: the fault slice handed to the campaign, after its
+/// `max_faults` sample. Production callers leave this unset;
 /// it exists so the isolation, deadline and checkpoint machinery can be
 /// exercised without waiting for a real engine bug.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -206,13 +187,6 @@ pub struct FailurePlan {
     /// replay (exercises graceful degradation: the replay check must reject
     /// the bogus test, never trust it).
     pub bogus_sat_model_on: Option<usize>,
-}
-
-impl FailurePlan {
-    /// Whether the plan injects nothing (the default).
-    pub fn is_empty(&self) -> bool {
-        *self == FailurePlan::default()
-    }
 }
 
 #[cfg(test)]
@@ -231,18 +205,17 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_stops() {
-        let budget = Budget::unlimited();
-        assert!(budget.is_unlimited());
+        let budget = Budget::default();
         assert!(!budget.stage_stopped());
         assert_eq!(budget.fault_deadline(Instant::now()), None);
     }
 
     #[test]
     fn stage_deadline_and_cancel_both_stop_the_stage() {
-        let expired = Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
+        let expired = Budget::new(None, Some(Duration::ZERO), None);
         assert!(expired.stage_stopped());
         let token = CancelToken::new();
-        let cancelled = Budget::unlimited().with_cancel(token.clone());
+        let cancelled = Budget::new(Some(token.clone()), None, None);
         assert!(!cancelled.stage_stopped());
         token.cancel();
         assert!(cancelled.stage_stopped());
@@ -252,11 +225,13 @@ mod tests {
     fn fault_deadline_is_capped_by_the_stage_deadline() {
         let started = Instant::now();
         let stage = started + Duration::from_millis(10);
-        let budget = Budget::unlimited()
-            .with_deadline(stage)
-            .with_fault_timeout(Duration::from_secs(60));
+        let budget = Budget {
+            deadline: Some(stage),
+            fault_timeout: Some(Duration::from_secs(60)),
+            ..Budget::default()
+        };
         assert_eq!(budget.fault_deadline(started), Some(stage));
-        let loose = Budget::unlimited().with_fault_timeout(Duration::from_millis(5));
+        let loose = Budget::new(None, None, Some(Duration::from_millis(5)));
         assert_eq!(
             loose.fault_deadline(started),
             Some(started + Duration::from_millis(5))
@@ -265,9 +240,7 @@ mod tests {
 
     #[test]
     fn timeouts_past_the_last_instant_set_no_deadline() {
-        let budget = Budget::unlimited()
-            .with_stage_timeout(Duration::MAX)
-            .with_fault_timeout(Duration::MAX);
+        let budget = Budget::new(None, Some(Duration::MAX), Some(Duration::MAX));
         assert_eq!(budget.deadline, None);
         assert_eq!(budget.fault_deadline(Instant::now()), None);
         assert!(!budget.stage_stopped());

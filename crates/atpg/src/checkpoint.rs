@@ -17,9 +17,14 @@
 //!   fingerprint mismatches is refused
 //!   ([`CheckpointError::FingerprintMismatch`]): replaying verdicts across a
 //!   different design, environment or budget would silently corrupt the
-//!   classification. Thread count and wall-clock limits do *not* enter the
-//!   fingerprint — they change how fast verdicts arrive, never which
-//!   verdicts arrive.
+//!   classification. Thread count, wall-clock limits, the worklist sample
+//!   and the checkpoint path do *not* enter the fingerprint — they change
+//!   how fast verdicts arrive or which faults are attempted, never which
+//!   verdict a fault gets.
+//!
+//! [`prove_faults`](crate::proof::prove_faults) opens the file named by
+//! [`ProofConfig::checkpoint`] itself; [`Checkpoint::create_or_resume`]
+//! stays public for tools that re-read or re-record a campaign journal.
 //! * Only reproducible outcomes are persisted: concluded verdicts and
 //!   *deterministic* aborts ([`AbortReason::is_deterministic`] — backtrack /
 //!   conflict budget exhaustion, unsupported encodings). A timeout or a
@@ -132,8 +137,9 @@ impl Fnv {
 /// The structural hash that keys a checkpoint to its proof problem: the
 /// netlist (cells, connectivity, names), the mission [`ConstraintSet`], and
 /// the verdict-affecting fields of the [`ProofConfig`]. Scheduling knobs
-/// (thread count) and wall-clock limits are deliberately excluded — they
-/// never change which verdict a fault gets.
+/// (thread count, worklist sample), wall-clock limits, the cancel token and
+/// the checkpoint path are deliberately excluded — they never change which
+/// verdict a fault gets.
 pub fn campaign_fingerprint(
     netlist: &Netlist,
     constraints: &ConstraintSet,
@@ -185,8 +191,11 @@ pub fn campaign_fingerprint(
     }
     h.write_bool(constraints.observe_ff_inputs);
     h.write_bool(constraints.control_ff_outputs);
-    h.write_bool(constraints.sequential_fixpoint);
-    h.write_usize(constraints.max_fixpoint_iterations);
+    // The constant values of two constraint fields that no longer exist
+    // (an opt-in sequential fixpoint, off, capped at 32 iterations): hashing
+    // them keeps every existing checkpoint and cache key valid.
+    h.write_bool(false);
+    h.write_usize(32);
     h.write_usize(config.backtrack_limit);
     h.write_bool(config.use_collapse);
     h.write_bool(config.cone_clip);
@@ -760,16 +769,21 @@ mod tests {
         let config = ProofConfig::default();
         let base = campaign_fingerprint(&n, &constraints, &config);
         assert_eq!(base, campaign_fingerprint(&n, &constraints, &config));
-        // Thread count is scheduling, not semantics.
+        // Thread count, sampling and wall-clock limits are scheduling, not
+        // semantics.
         let threaded = ProofConfig {
             threads: 7,
-            ..config
+            max_faults: Some(3),
+            sample_seed: Some(1),
+            stage_timeout: Some(std::time::Duration::from_secs(1)),
+            checkpoint: Some(PathBuf::from("elsewhere.ckpt")),
+            ..config.clone()
         };
         assert_eq!(base, campaign_fingerprint(&n, &constraints, &threaded));
         // A different budget can change verdicts.
         let tighter = ProofConfig {
             backtrack_limit: 1,
-            ..config
+            ..config.clone()
         };
         assert_ne!(base, campaign_fingerprint(&n, &constraints, &tighter));
         // A different environment changes the problem.

@@ -1,5 +1,5 @@
 //! Constant-value analysis: propagation of tied values through the
-//! combinational logic (and optionally through the sequential behaviour).
+//! combinational logic.
 //!
 //! This is the engine behind the paper's central trick: after the circuit
 //! manipulation ties mission-constant signals to fixed values, faults that
@@ -9,8 +9,7 @@
 
 use crate::logic::Logic;
 use crate::sim::{CombSim, NetValues};
-use faultmodel::StuckAt;
-use netlist::{graph, CellId, CellKind, NetId, Netlist, PinIndex, Reset};
+use netlist::{graph, CellId, NetId, Netlist, PinIndex};
 use std::collections::{HashMap, HashSet};
 
 /// The environment under which the structural analysis runs: which signals
@@ -30,12 +29,6 @@ pub struct ConstraintSet {
     /// Treat flip-flop outputs as freely controllable pseudo-inputs (full-scan
     /// assumption, the default).
     pub control_ff_outputs: bool,
-    /// Iterate the sequential state update to find flip-flops that settle to
-    /// a constant value on their own (an extension over the paper's purely
-    /// combinational tool flow; off by default).
-    pub sequential_fixpoint: bool,
-    /// Iteration cap for the sequential fixpoint.
-    pub max_fixpoint_iterations: usize,
 }
 
 impl ConstraintSet {
@@ -46,8 +39,6 @@ impl ConstraintSet {
             masked_outputs: HashSet::new(),
             observe_ff_inputs: true,
             control_ff_outputs: true,
-            sequential_fixpoint: false,
-            max_fixpoint_iterations: 32,
         }
     }
 
@@ -116,22 +107,6 @@ impl ConstantValues {
     pub fn raw(&self) -> &NetValues {
         &self.values
     }
-
-    /// Whether a stuck-at fault is unexcitable under these constants (the
-    /// signal at the site is constant and equal to the stuck value).
-    pub fn is_unexcitable(&self, netlist: &Netlist, fault: StuckAt) -> bool {
-        let net = match fault.site {
-            faultmodel::FaultSite::CellOutput { cell } => netlist.output_net(cell),
-            faultmodel::FaultSite::CellInput { cell, pin } => Some(netlist.input_net(cell, pin)),
-        };
-        match net {
-            Some(net) => self.value(net) == Logic::from_bool(fault.value),
-            // A detached output pin has no net: it cannot be excited in any
-            // observable way, but we report it as not-unexcitable here and
-            // let the observability analysis classify it as unused.
-            None => false,
-        }
-    }
 }
 
 /// Runs constant propagation under `constraints`.
@@ -146,71 +121,9 @@ pub fn propagate_constants(
     let sim = CombSim::new(netlist)?;
     let mut values = sim.blank_values();
     let mut scratch = sim.scratch();
-    let forced: HashMap<NetId, Logic> = constraints.forced_nets.clone();
-
-    // Primary inputs without constraints stay X; flip-flop outputs start X
-    // (combinational mode) and are refined by the fixpoint when requested.
-    sim.propagate_with(&mut values, &forced, None, &mut scratch);
-
-    if constraints.sequential_fixpoint {
-        let flops = netlist.sequential_cells();
-        for _ in 0..constraints.max_fixpoint_iterations.max(1) {
-            // Compute next-state values from the current propagation.
-            let mut changed = false;
-            let mut next_states: Vec<(NetId, Logic)> = Vec::new();
-            for &ff in &flops {
-                let cell = netlist.cell(ff);
-                let kind = cell.kind();
-                let pin_value = |pin: usize| values[cell.inputs()[pin].index()];
-                let data = match kind {
-                    CellKind::Sdff { .. } => Logic::mux(pin_value(0), pin_value(1), pin_value(2)),
-                    _ => pin_value(0),
-                };
-                let mut new_value = data;
-                if let (Some(reset), Some(rst_pin)) = (kind.reset(), kind.reset_pin()) {
-                    let rst = pin_value(rst_pin as usize);
-                    let active = match reset {
-                        Reset::ActiveLow => rst.not(),
-                        Reset::ActiveHigh => rst,
-                    };
-                    new_value = match active {
-                        Logic::One => Logic::Zero,
-                        Logic::X => Logic::Zero.meet(data),
-                        Logic::Zero => data,
-                    };
-                }
-                if let Some(q) = cell.output() {
-                    if forced.contains_key(&q) {
-                        continue;
-                    }
-                    // Merge with the previous estimate: a flip-flop is only
-                    // constant if every iteration agrees.
-                    let old = values[q.index()];
-                    let merged = if old == Logic::X && new_value.is_definite() {
-                        new_value
-                    } else {
-                        old.meet(new_value)
-                    };
-                    if merged != old {
-                        changed = true;
-                    }
-                    next_states.push((q, merged));
-                }
-            }
-            for (q, v) in &next_states {
-                values[q.index()] = *v;
-            }
-            // Re-propagate with the refined state estimates kept fixed.
-            let mut forced_with_state = forced.clone();
-            for (q, v) in &next_states {
-                forced_with_state.insert(*q, *v);
-            }
-            sim.propagate_with(&mut values, &forced_with_state, None, &mut scratch);
-            if !changed {
-                break;
-            }
-        }
-    }
+    // Primary inputs without constraints stay X, and so do flip-flop
+    // outputs: the analysis is combinational, as in the paper's tool flow.
+    sim.propagate_with(&mut values, &constraints.forced_nets, None, &mut scratch);
 
     Ok(ConstantValues { values })
 }
@@ -274,40 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_fixpoint_finds_constant_ff() {
-        let mut b = NetlistBuilder::new("t");
-        let ck = b.input("ck");
-        let zero = b.tie0();
-        let q = b.dff(zero, ck);
-        let y = b.not(q);
-        b.output("y", y);
-        let n = b.finish();
-        let mut constraints = ConstraintSet::full_scan();
-        constraints.sequential_fixpoint = true;
-        let consts = propagate_constants(&n, &constraints).unwrap();
-        assert_eq!(consts.value(q), Logic::Zero);
-        assert_eq!(consts.value(y), Logic::One);
-    }
-
-    #[test]
-    fn sequential_fixpoint_keeps_toggling_ff_unknown() {
-        // q' = NOT q toggles forever: must not be reported constant.
-        let mut b = NetlistBuilder::new("t");
-        let ck = b.input("ck");
-        let d = b.netlist_mut().add_net("d");
-        let q = b.dff(d, ck);
-        let nq = b.not(q);
-        b.netlist_mut()
-            .add_cell(CellKind::Buf, "fb", &[nq], Some(d));
-        b.output("q", q);
-        let n = b.finish();
-        let mut constraints = ConstraintSet::full_scan();
-        constraints.sequential_fixpoint = true;
-        let consts = propagate_constants(&n, &constraints).unwrap();
-        assert_eq!(consts.value(q), Logic::X);
-    }
-
-    #[test]
     fn forced_ff_output_propagates() {
         let mut b = NetlistBuilder::new("t");
         let ck = b.input("ck");
@@ -320,25 +199,5 @@ mod tests {
         constraints.tie_net(q, false);
         let consts = propagate_constants(&n, &constraints).unwrap();
         assert_eq!(consts.value(y), Logic::Zero);
-    }
-
-    #[test]
-    fn unexcitable_detection() {
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input("a");
-        let c = b.input("b");
-        let y = b.and2(a, c);
-        b.output("y", y);
-        let n = b.finish();
-        let and = n.driver_of(y).unwrap();
-        let mut constraints = ConstraintSet::full_scan();
-        constraints.tie_net(a, false);
-        let consts = propagate_constants(&n, &constraints).unwrap();
-        // Input pin A0 of the AND reads constant 0: stuck-at-0 there is
-        // unexcitable, stuck-at-1 is excitable.
-        assert!(consts.is_unexcitable(&n, StuckAt::input(and, 0, false)));
-        assert!(!consts.is_unexcitable(&n, StuckAt::input(and, 0, true)));
-        // The AND output is constant 0 as well.
-        assert!(consts.is_unexcitable(&n, StuckAt::output(and, false)));
     }
 }

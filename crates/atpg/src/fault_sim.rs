@@ -115,20 +115,10 @@ impl<'a> FaultSim<'a> {
         detected
     }
 
-    /// Runs [`detect`](Self::detect) over every still-undetected fault in the
-    /// list and marks the detected ones as [`FaultClass::Detected`].
-    pub fn run_and_classify(
-        &self,
-        faults: &mut FaultList,
-        vectors: &[InputVector],
-    ) -> FaultSimOutcome {
-        self.run_batches_and_classify(faults, &[vectors], &self.outputs)
-    }
-
-    /// Batch-aware [`run_and_classify`](Self::run_and_classify): grades the
-    /// still-undetected faults against every batch in turn (dropping freshly
-    /// detected faults between batches) while observing only the given
-    /// outputs.
+    /// Grades every still-undetected fault in the list against every batch
+    /// in turn (dropping freshly detected faults between batches) while
+    /// observing only the given outputs, and marks the detected ones as
+    /// [`FaultClass::Detected`].
     pub fn run_batches_and_classify(
         &self,
         faults: &mut FaultList,
@@ -258,7 +248,7 @@ mod tests {
             .map(|p| vector(&[(a, p & 1 == 1), (c, p & 2 == 2)]))
             .collect();
         let mut faults = FaultList::full_universe(&n);
-        let outcome = sim.run_and_classify(&mut faults, &vectors);
+        let outcome = sim.run_batches_and_classify(&mut faults, &[&vectors], &n.primary_outputs());
         assert_eq!(outcome.simulated, faults.len());
         // With exhaustive patterns every testable fault of this tiny circuit
         // is found; coverage should be high (>70 %).
@@ -334,7 +324,8 @@ mod tests {
             }
             rng_patterns.push(v);
         }
-        let outcome = sim.run_and_classify(&mut faults, &rng_patterns);
+        let outcome =
+            sim.run_batches_and_classify(&mut faults, &[&rng_patterns], &n.primary_outputs());
         // XOR trees are highly testable; expect most faults detected.
         assert!(outcome.detected > faults.len() / 2);
     }

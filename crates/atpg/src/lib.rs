@@ -74,7 +74,7 @@ pub mod scoap;
 pub mod sim;
 
 pub use analysis::{AnalysisOutcome, StructuralAnalysis};
-pub use budget::{AbortReason, Budget, CancelToken, FailurePlan};
+pub use budget::{AbortReason, CancelToken, FailurePlan};
 pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
 pub use cnf::{SatProver, SatVerdict};
 pub use compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors, SimScratch};
@@ -83,8 +83,7 @@ pub use fault_sim::{FaultSim, FaultSimOutcome, InputVector};
 pub use logic::Logic;
 pub use podem::{Podem, PodemConfig, PodemOutcome, ProofOutcome, TestPattern};
 pub use proof::{
-    prove_faults, CampaignOptions, CampaignOutcome, EngineBreakdown, EngineOutcome, ProofConfig,
-    ProofEngine,
+    prove_faults, CampaignOutcome, EngineBreakdown, EngineOutcome, ProofConfig, ProofEngine,
 };
 pub use scoap::{compute_scoap, Scoap, SCOAP_INFINITY};
 pub use sim::{CombSim, SeqSim};

@@ -42,22 +42,21 @@
 //! built deterministically, so the portfolio keeps the thread-invariance
 //! guarantee.
 //!
-//! The fan-out is also the campaign's *survivability* layer
-//! ([`CampaignOptions`]): a [`Budget`] bounds the run with a
-//! cooperative cancel token, a whole-stage deadline and a per-fault
-//! wall-clock limit (expiry turns a hang into an
-//! [`AbortReason::Timeout`] verdict, never a lost run); each per-fault proof
-//! runs under `catch_unwind`, so an engine bug on one cone records
-//! [`AbortReason::Panicked`] for that fault while the campaign continues;
-//! and an optional [`Checkpoint`] persists
-//! verdicts incrementally so an interrupted campaign resumes by re-proving
-//! only what never concluded. The checkpoint is applied by pre-seeding the
-//! result slots *before* scheduling and the collapse classes are computed
-//! over the full population, so a resumed run replays the uninterrupted
-//! schedule exactly — the merged classification is bit-identical.
+//! The fan-out is also the campaign's *survivability* layer, set up by the
+//! same [`ProofConfig`]: a cooperative [`CancelToken`], a whole-stage
+//! timeout and a per-fault wall-clock limit bound the run (expiry turns a
+//! hang into an [`AbortReason::Timeout`] verdict, never a lost run); each
+//! per-fault proof runs under `catch_unwind`, so an engine bug on one cone
+//! records [`AbortReason::Panicked`] for that fault while the campaign
+//! continues; and an optional [`Checkpoint`] file persists verdicts
+//! incrementally so an interrupted campaign resumes by re-proving only what
+//! never concluded. The checkpoint is applied by pre-seeding the result
+//! slots *before* scheduling and the collapse classes are computed over the
+//! full population, so a resumed run replays the uninterrupted schedule
+//! exactly — the merged classification is bit-identical.
 
 use crate::budget::{AbortReason, Budget, CancelToken, FailurePlan};
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
 use crate::cnf::{SatProver, SatVerdict};
 use crate::constant::ConstraintSet;
 use crate::fanout::{fan_out, workers_for};
@@ -66,15 +65,19 @@ use crate::podem::{Podem, PodemConfig, ProofOutcome};
 use faultmodel::{collapse_with_barriers, FaultList, StuckAt};
 use netlist::{graph, Netlist};
 use std::fmt;
-use std::time::Instant;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Faults claimed per cursor bump: small enough to balance a skewed workload
 /// (aborts cost orders of magnitude more than quick proofs), large enough to
 /// amortise the atomic traffic.
 const CHUNK: usize = 16;
 
-/// Configuration of a parallel proof run.
-#[derive(Clone, Copy, Debug)]
+/// Configuration of one proof campaign: the engines' budgets and
+/// accelerations, the worklist sample, the wall-clock limits and the
+/// checkpoint. The default is the product configuration — the PODEM/SAT
+/// portfolio over the whole worklist, with no limits and no checkpoint.
+#[derive(Clone, Debug)]
 pub struct ProofConfig {
     /// Backtrack budget per fault (see [`PodemConfig::backtrack_limit`]);
     /// searches that exhaust it come back [`ProofOutcome::Aborted`].
@@ -82,6 +85,14 @@ pub struct ProofConfig {
     /// Worker threads to fan the faults out across; `0` uses the machine's
     /// available parallelism. The outcome vector is identical regardless.
     pub threads: usize,
+    /// Upper bound on the number of faults proven; `None` (the default)
+    /// proves them all. The worklist is taken in input order unless
+    /// `sample_seed` is set.
+    pub max_faults: Option<usize>,
+    /// When `max_faults` truncates the worklist, shuffle it first with this
+    /// deterministic seed so the slice is a representative sample instead
+    /// of an input-order prefix. `None` keeps the prefix.
+    pub sample_seed: Option<u64>,
     /// Prove one representative per structural equivalence class and expand
     /// concluded verdicts across the class (aborts never expand; their class
     /// members are proven individually instead).
@@ -93,18 +104,33 @@ pub struct ProofConfig {
     /// [`PodemConfig::scoap_guidance`]).
     pub use_scoap: bool,
     /// Prune hopeless branches with the X-path check (see
-    /// [`PodemConfig::x_path_check`]). Off reproduces the pre-acceleration
-    /// reference engine exactly.
+    /// [`PodemConfig::x_path_check`]). Turning this, `cone_clip`,
+    /// `use_scoap` and `use_collapse` off reproduces the pre-acceleration
+    /// proof stage exactly.
     pub use_x_path: bool,
     /// Escalate PODEM aborts to the SAT backend ([`crate::cnf`]): the
     /// cone-clipped fault machine is encoded into CNF and the CDCL core
-    /// attempts the verdict the search engine gave up on. Off by default so
-    /// the engine-level behaviour (and abort semantics) is unchanged unless
-    /// a caller opts into the portfolio.
+    /// attempts the verdict the search engine gave up on. On by default: the
+    /// portfolio converts most of the abort column into verdicts for the
+    /// cost of re-attempting only the faults PODEM already gave up on.
     pub use_sat: bool,
     /// Conflict budget per SAT escalation; exhaustion keeps the fault
     /// aborted. `u64::MAX` is effectively unbounded.
     pub sat_conflict_limit: u64,
+    /// Wall-clock budget for the whole campaign; faults not concluded by
+    /// then come back [`AbortReason::Timeout`]. `None` is unbounded.
+    pub stage_timeout: Option<Duration>,
+    /// Per-fault wall-clock limit, additionally capped by the stage
+    /// deadline.
+    pub fault_timeout: Option<Duration>,
+    /// Checkpoint file: concluded verdicts are appended as they arrive and
+    /// a later run re-proves only the faults the file is missing. The file
+    /// is keyed by [`campaign_fingerprint`] and refused on mismatch.
+    pub checkpoint: Option<PathBuf>,
+    /// Cooperative cancel token shared with the caller: cancelling it stops
+    /// the campaign at the next engine poll point (the in-flight faults come
+    /// back as timeout aborts).
+    pub cancel: Option<CancelToken>,
     /// Deterministic failure injection for the robustness regression suite
     /// (see [`FailurePlan`]); `None` — the default — injects nothing.
     /// Production callers leave this unset.
@@ -116,12 +142,18 @@ impl Default for ProofConfig {
         ProofConfig {
             backtrack_limit: 32,
             threads: 0,
+            max_faults: None,
+            sample_seed: None,
             use_collapse: true,
             cone_clip: true,
             use_scoap: true,
             use_x_path: true,
-            use_sat: false,
+            use_sat: true,
             sat_conflict_limit: 20_000,
+            stage_timeout: None,
+            fault_timeout: None,
+            checkpoint: None,
+            cancel: None,
             failure_plan: None,
         }
     }
@@ -145,6 +177,38 @@ impl ProofConfig {
         } else {
             self.threads
         }
+    }
+
+    /// The worklist as input indices: every fault in input order, or — with
+    /// `max_faults` — a prefix of it, shuffled first when `sample_seed` is
+    /// set.
+    fn worklist(&self, len: usize) -> Vec<usize> {
+        let mut worklist: Vec<usize> = (0..len).collect();
+        if let Some(cap) = self.max_faults {
+            if let Some(seed) = self.sample_seed {
+                deterministic_shuffle(&mut worklist, seed);
+            }
+            worklist.truncate(cap);
+        }
+        worklist
+    }
+}
+
+/// Seeded Fisher–Yates shuffle over a slice, with a splitmix64 generator so
+/// the worklist sampling needs no RNG dependency and is reproducible across
+/// platforms.
+fn deterministic_shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in (1..items.len()).rev() {
+        let j = (next() % (i as u64 + 1)) as usize;
+        items.swap(i, j);
     }
 }
 
@@ -527,60 +591,70 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// How one [`prove_faults`] run is bounded and journalled. The default is
-/// an unlimited budget and no checkpoint.
-#[derive(Clone, Default)]
-pub struct CampaignOptions<'a> {
-    /// Cooperative limits: cancel token, stage deadline, per-fault limit.
-    pub budget: Budget,
-    /// Checkpoint that pre-seeds concluded verdicts and records fresh ones.
-    pub checkpoint: Option<&'a Checkpoint>,
-}
-
 /// The result of one [`prove_faults`] run.
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
-    /// One engine-tagged verdict per input fault, in input order.
+    /// One engine-tagged verdict per worklist fault, in worklist order.
     pub outcomes: Vec<EngineOutcome>,
+    /// The input index of each outcome's fault. Without
+    /// [`ProofConfig::max_faults`] it lists every input fault in order.
+    pub worklist: Vec<usize>,
     /// Faults whose verdict was replayed from the checkpoint instead of
     /// being proven by this run.
     pub from_checkpoint: usize,
 }
 
-/// Proves (or fails to prove) untestability for every fault in `faults` under
-/// `constraints`, returning one engine-tagged verdict per fault in input
-/// order.
+/// Proves (or fails to prove) untestability for the faults of `faults`
+/// under `constraints`, returning one engine-tagged verdict per worklist
+/// fault: every input fault in input order, or the
+/// [`max_faults`](ProofConfig::max_faults) sample of them.
 ///
 /// With [`ProofConfig::use_collapse`] the worklist is collapse-scheduled:
 /// one representative per structural equivalence class is proven (the class's
-/// first fault in input order), concluded verdicts expand to the rest of the
-/// class, and members of classes whose representative *aborted* are proven
-/// individually in a second pass — an abort never expands.
+/// first fault in worklist order), concluded verdicts expand to the rest of
+/// the class, and members of classes whose representative *aborted* are
+/// proven individually in a second pass — an abort never expands.
 ///
 /// The faults are fanned out across scoped worker threads according to
 /// `config.threads`; per-fault outcomes do not depend on the fan-out, so any
 /// thread count produces the same vector.
 ///
-/// `options` bounds the run with a cooperative [`Budget`] and may journal
-/// it to a [`Checkpoint`]; every fault runs under per-fault panic isolation.
+/// The run is bounded by the config's cancel token and timeouts, may be
+/// journalled to its checkpoint file, and every fault runs under per-fault
+/// panic isolation. The checkpoint is opened before anything else, keyed by
+/// [`campaign_fingerprint`], so an empty worklist still creates the file.
 /// Checkpointed verdicts are pre-seeded into the result slots before
 /// scheduling and the collapse classes are computed over the full
-/// population, so a resumed campaign replays the uninterrupted schedule
+/// worklist, so a resumed campaign replays the uninterrupted schedule
 /// exactly: the merged classification is bit-identical to a single
 /// uninterrupted run under the same configuration, and only unconcluded
 /// faults are re-proven.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Cyclic`] if the combinational logic is cyclic,
-/// [`CampaignError::Checkpoint`] if appending to the checkpoint failed.
+/// [`CampaignError::Checkpoint`] if the checkpoint could not be opened (or
+/// belongs to a different campaign) or appending to it failed,
+/// [`CampaignError::Cyclic`] if the combinational logic is cyclic.
 pub fn prove_faults(
     netlist: &Netlist,
     constraints: &ConstraintSet,
     faults: &[StuckAt],
     config: &ProofConfig,
-    options: &CampaignOptions<'_>,
 ) -> Result<CampaignOutcome, CampaignError> {
+    let checkpoint = config
+        .checkpoint
+        .as_ref()
+        .map(|path| {
+            Checkpoint::create_or_resume(path, campaign_fingerprint(netlist, constraints, config))
+        })
+        .transpose()?;
+    let budget = Budget::new(
+        config.cancel.clone(),
+        config.stage_timeout,
+        config.fault_timeout,
+    );
+    let worklist = config.worklist(faults.len());
+    let faults: Vec<StuckAt> = worklist.iter().map(|&i| faults[i]).collect();
     // Validate levelization once up front (and still surface a cyclic design
     // when the fault list is empty) so the workers can unwrap — levelize is
     // the only error source of engine construction, and validating with it
@@ -590,20 +664,21 @@ pub fn prove_faults(
     if faults.is_empty() {
         return Ok(CampaignOutcome {
             outcomes: Vec::new(),
+            worklist,
             from_checkpoint: 0,
         });
     }
     let campaign = Campaign {
         netlist,
         constraints,
-        faults,
+        faults: &faults,
         config,
-        budget: &options.budget,
-        checkpoint: options.checkpoint,
+        budget: &budget,
+        checkpoint: checkpoint.as_ref(),
     };
     let mut results: Vec<Option<EngineOutcome>> = faults
         .iter()
-        .map(|&fault| options.checkpoint.and_then(|cp| cp.concluded(fault)))
+        .map(|&fault| checkpoint.as_ref().and_then(|cp| cp.concluded(fault)))
         .collect();
     let from_checkpoint = results.iter().flatten().count();
     let workers = workers_for(faults.len(), CHUNK, config.resolve_threads());
@@ -671,7 +746,7 @@ pub fn prove_faults(
     }
     prove_worklist(&campaign, &second_pass, &mut engines, &mut results);
 
-    if let Some(cp) = options.checkpoint {
+    if let Some(cp) = &checkpoint {
         cp.sync()?;
     }
     Ok(CampaignOutcome {
@@ -679,6 +754,7 @@ pub fn prove_faults(
             .into_iter()
             .map(|r| r.expect("proof fan-out left a fault unvisited"))
             .collect(),
+        worklist,
         from_checkpoint,
     })
 }
@@ -696,7 +772,7 @@ mod tests {
         faults: &[StuckAt],
         config: &ProofConfig,
     ) -> Vec<EngineOutcome> {
-        prove_faults(n, constraints, faults, config, &CampaignOptions::default())
+        prove_faults(n, constraints, faults, config)
             .unwrap()
             .outcomes
     }
@@ -792,6 +868,7 @@ mod tests {
         let constraints = ConstraintSet::full_scan();
         let config = ProofConfig {
             threads: 3,
+            use_sat: false,
             ..ProofConfig::default()
         };
         let parallel = verdicts(&n, &constraints, &faults, &config);
@@ -830,6 +907,36 @@ mod tests {
             &ProofConfig::default(),
         );
         assert!(outcomes.is_empty());
+    }
+
+    #[test]
+    fn deterministic_shuffle_is_a_permutation() {
+        let mut items: Vec<usize> = (0..100).collect();
+        deterministic_shuffle(&mut items, 42);
+        let mut sorted = items.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(items, sorted, "a 100-element shuffle should move something");
+        let mut again: Vec<usize> = (0..100).collect();
+        deterministic_shuffle(&mut again, 42);
+        assert_eq!(items, again, "same seed, same permutation");
+        // Pinned: the benchmark replays the same sample with its own copy of
+        // this shuffle.
+        let sample = ProofConfig {
+            max_faults: Some(5),
+            sample_seed: Some(7),
+            ..ProofConfig::default()
+        };
+        assert_eq!(sample.worklist(1_000), [426, 57, 118, 82, 134]);
+        assert_eq!(
+            ProofConfig {
+                sample_seed: None,
+                ..sample
+            }
+            .worklist(1_000),
+            [0, 1, 2, 3, 4]
+        );
+        assert_eq!(ProofConfig::default().worklist(3), [0, 1, 2]);
     }
 
     #[test]
@@ -881,6 +988,7 @@ mod tests {
             backtrack_limit: 0,
             threads: 1,
             use_collapse: true,
+            use_sat: false,
             ..ProofConfig::default()
         };
         let scheduled = verdicts(&n, &constraints, &faults, &config);
@@ -1043,6 +1151,7 @@ mod tests {
             &ProofConfig {
                 backtrack_limit: 10_000,
                 threads: 1,
+                use_sat: false,
                 ..ProofConfig::default()
             },
         );
@@ -1156,6 +1265,7 @@ mod tests {
             &ProofConfig {
                 backtrack_limit: 0,
                 threads: 2,
+                use_sat: false,
                 ..ProofConfig::default()
             },
         );
@@ -1173,6 +1283,7 @@ mod tests {
             &ProofConfig {
                 backtrack_limit: 10_000,
                 threads: 1,
+                use_sat: false,
                 ..ProofConfig::default()
             },
         );

@@ -6,7 +6,7 @@
 //! boundaries too) and with exhaustive enumeration under random mission
 //! constraints.
 
-use atpg::proof::{prove_faults, CampaignOptions, ProofConfig};
+use atpg::proof::{prove_faults, ProofConfig};
 use atpg::{
     analysis::StructuralAnalysis, constant::propagate_constants, CombSim, ConstraintSet, FaultSim,
     InputVector, Logic, Podem, PodemConfig, PodemOutcome, ProofOutcome, SatProver, SatVerdict,
@@ -17,26 +17,19 @@ use netlist::{NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Proves `faults` with no budget and no checkpoint, dropping the engine
-/// attribution.
+/// Proves `faults` under `config`, dropping the engine attribution.
 fn verdicts(
     netlist: &Netlist,
     constraints: &ConstraintSet,
     faults: &[StuckAt],
     config: &ProofConfig,
 ) -> Vec<ProofOutcome> {
-    prove_faults(
-        netlist,
-        constraints,
-        faults,
-        config,
-        &CampaignOptions::default(),
-    )
-    .unwrap()
-    .outcomes
-    .into_iter()
-    .map(|r| r.outcome)
-    .collect()
+    prove_faults(netlist, constraints, faults, config)
+        .unwrap()
+        .outcomes
+        .into_iter()
+        .map(|r| r.outcome)
+        .collect()
 }
 
 /// Builds a small combinational circuit whose shape is driven by `spec`:
@@ -805,6 +798,7 @@ fn proof_fanout_chunk_boundaries_match_per_fault_proofs() {
                 &ProofConfig {
                     backtrack_limit: 10_000,
                     threads,
+                    use_sat: false,
                     ..ProofConfig::default()
                 },
             );

@@ -6,9 +6,9 @@
 //! faults the interrupted run never concluded.
 
 use atpg::{
-    campaign_fingerprint, prove_faults, AbortReason, Budget, CampaignOptions, CampaignOutcome,
-    CancelToken, Checkpoint, ConstraintSet, EngineBreakdown, FailurePlan, ProofConfig, ProofEngine,
-    ProofOutcome, SatProver, SatVerdict,
+    campaign_fingerprint, prove_faults, AbortReason, CampaignOutcome, CancelToken, Checkpoint,
+    ConstraintSet, EngineBreakdown, FailurePlan, ProofConfig, ProofEngine, ProofOutcome, SatProver,
+    SatVerdict,
 };
 use faultmodel::{FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
@@ -101,9 +101,8 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
                     panic_on: Some(3),
                     ..FailurePlan::default()
                 }),
-                ..config
+                ..config.clone()
             },
-            &CampaignOptions::default(),
         )
         .unwrap();
 
@@ -118,14 +117,7 @@ fn injected_panic_is_isolated_and_the_campaign_survives() {
         // Every other fault concluded exactly as a clean run concludes it:
         // the panic neither lost the campaign nor leaked poisoned engine
         // state.
-        let clean = prove_faults(
-            &netlist,
-            &constraints,
-            &faults,
-            &config,
-            &CampaignOptions::default(),
-        )
-        .unwrap();
+        let clean = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
         for (i, (injected, reference)) in campaign.outcomes.iter().zip(&clean.outcomes).enumerate()
         {
             if i == 3 {
@@ -150,20 +142,10 @@ fn injected_stall_is_cut_by_the_stage_deadline() {
             stall_on: Some(0),
             ..FailurePlan::default()
         }),
+        stage_timeout: Some(Duration::from_millis(100)),
         ..sequential_config()
     };
-    let budget = Budget::unlimited().with_stage_timeout(Duration::from_millis(100));
-    let campaign = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions {
-            budget,
-            ..CampaignOptions::default()
-        },
-    )
-    .unwrap();
+    let campaign = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
     assert_eq!(campaign.outcomes[0].outcome, ProofOutcome::Aborted);
     assert_eq!(campaign.outcomes[0].reason, Some(AbortReason::Timeout));
     assert!(deadline_hit(&campaign));
@@ -188,14 +170,7 @@ fn stall_with_no_budget_limits_gives_up_instead_of_wedging() {
         }),
         ..sequential_config()
     };
-    let campaign = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions::default(),
-    )
-    .unwrap();
+    let campaign = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
     assert_eq!(campaign.outcomes[1].reason, Some(AbortReason::Timeout));
     // Only the stalled fault is lost; an unlimited budget keeps on going.
     assert!(campaign
@@ -255,18 +230,11 @@ fn pre_cancelled_token_aborts_the_whole_campaign_as_timeouts() {
     let faults = universe(&netlist);
     let token = CancelToken::new();
     token.cancel();
-    let budget = Budget::unlimited().with_cancel(token);
-    let campaign = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &sequential_config(),
-        &CampaignOptions {
-            budget,
-            ..CampaignOptions::default()
-        },
-    )
-    .unwrap();
+    let config = ProofConfig {
+        cancel: Some(token),
+        ..sequential_config()
+    };
+    let campaign = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
     assert!(deadline_hit(&campaign));
     for outcome in &campaign.outcomes {
         assert_eq!(outcome.outcome, ProofOutcome::Aborted);
@@ -291,18 +259,14 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
     };
     let stall_at = faults.len() / 2;
 
-    let reference = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions::default(),
-    )
-    .unwrap();
+    let reference = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
     assert!(!deadline_hit(&reference));
 
     let path = TempCheckpoint::new("interrupt-resume");
-    let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+    let journalled = ProofConfig {
+        checkpoint: Some(path.0.clone()),
+        ..config.clone()
+    };
 
     // --- Interrupted run: stall mid-campaign, cancel from another thread.
     let token = CancelToken::new();
@@ -313,28 +277,22 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
             token.cancel();
         })
     };
-    let interrupted = {
-        let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-        assert_eq!(checkpoint.loaded(), 0);
-        prove_faults(
-            &netlist,
-            &constraints,
-            &faults,
-            &ProofConfig {
-                failure_plan: Some(FailurePlan {
-                    stall_on: Some(stall_at),
-                    ..FailurePlan::default()
-                }),
-                ..config
-            },
-            &CampaignOptions {
-                budget: Budget::unlimited().with_cancel(token),
-                checkpoint: Some(&checkpoint),
-            },
-        )
-        .unwrap()
-    };
+    let interrupted = prove_faults(
+        &netlist,
+        &constraints,
+        &faults,
+        &ProofConfig {
+            failure_plan: Some(FailurePlan {
+                stall_on: Some(stall_at),
+                ..FailurePlan::default()
+            }),
+            cancel: Some(token),
+            ..journalled.clone()
+        },
+    )
+    .unwrap();
     canceller.join().unwrap();
+    assert_eq!(interrupted.from_checkpoint, 0);
     assert!(deadline_hit(&interrupted));
     assert_eq!(
         interrupted.outcomes[stall_at].reason,
@@ -359,9 +317,9 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
     }
 
     // --- Resumed run: same campaign, fresh budget, same checkpoint file.
-    let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-    // Timeout aborts are never persisted: what the file holds is exactly
-    // the interrupted run's deterministic verdicts.
+    // Timeout aborts are never persisted: what the file holds, keyed by the
+    // campaign fingerprint, is exactly the interrupted run's deterministic
+    // verdicts.
     let persisted = interrupted
         .outcomes
         .iter()
@@ -369,18 +327,11 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
             o.outcome != ProofOutcome::Aborted || o.reason.is_some_and(|r| r.is_deterministic())
         })
         .count();
+    let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+    let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
     assert_eq!(checkpoint.loaded(), persisted);
-    let resumed = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &config,
-        &CampaignOptions {
-            checkpoint: Some(&checkpoint),
-            ..CampaignOptions::default()
-        },
-    )
-    .unwrap();
+    drop(checkpoint);
+    let resumed = prove_faults(&netlist, &constraints, &faults, &journalled).unwrap();
 
     // Only the unconcluded faults were re-proven…
     assert_eq!(resumed.from_checkpoint, persisted);
@@ -415,21 +366,16 @@ fn resume_replays_the_collapse_schedule() {
             threads,
             ..sequential_config() // collapse on
         };
-        let reference = prove_faults(
-            &netlist,
-            &constraints,
-            &faults,
-            &config,
-            &CampaignOptions::default(),
-        )
-        .unwrap();
+        let reference = prove_faults(&netlist, &constraints, &faults, &config).unwrap();
 
         let path = TempCheckpoint::new(&format!("collapse-resume-{threads}"));
-        let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+        let journalled = ProofConfig {
+            checkpoint: Some(path.0.clone()),
+            ..config
+        };
         {
             // Interrupt with a stalled representative early in the schedule.
             let token = CancelToken::new();
-            let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
             let canceller = {
                 let token = token.clone();
                 std::thread::spawn(move || {
@@ -446,29 +392,15 @@ fn resume_replays_the_collapse_schedule() {
                         stall_on: Some(faults.len() / 3),
                         ..FailurePlan::default()
                     }),
-                    ..config
-                },
-                &CampaignOptions {
-                    budget: Budget::unlimited().with_cancel(token),
-                    checkpoint: Some(&checkpoint),
+                    cancel: Some(token),
+                    ..journalled.clone()
                 },
             )
             .unwrap();
             canceller.join().unwrap();
         }
 
-        let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
-        let resumed = prove_faults(
-            &netlist,
-            &constraints,
-            &faults,
-            &config,
-            &CampaignOptions {
-                checkpoint: Some(&checkpoint),
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
+        let resumed = prove_faults(&netlist, &constraints, &faults, &journalled).unwrap();
         for (i, (merged, single)) in resumed.outcomes.iter().zip(&reference.outcomes).enumerate() {
             assert_eq!(
                 merged.outcome, single.outcome,
@@ -485,22 +417,14 @@ fn fault_timeout_bounds_each_fault_but_not_the_campaign() {
     let faults = universe(&netlist);
     // A generous per-fault limit concludes everything; the budget machinery
     // along the hot path must not perturb verdicts.
-    let unbounded = prove_faults(
-        &netlist,
-        &constraints,
-        &faults,
-        &sequential_config(),
-        &CampaignOptions::default(),
-    )
-    .unwrap();
+    let unbounded = prove_faults(&netlist, &constraints, &faults, &sequential_config()).unwrap();
     let bounded = prove_faults(
         &netlist,
         &constraints,
         &faults,
-        &sequential_config(),
-        &CampaignOptions {
-            budget: Budget::unlimited().with_fault_timeout(Duration::from_secs(30)),
-            ..CampaignOptions::default()
+        &ProofConfig {
+            fault_timeout: Some(Duration::from_secs(30)),
+            ..sequential_config()
         },
     )
     .unwrap();
@@ -511,4 +435,23 @@ fn fault_timeout_bounds_each_fault_but_not_the_campaign() {
         .outcomes
         .iter()
         .any(|o| o.engine == ProofEngine::Podem));
+}
+
+#[test]
+fn an_empty_worklist_still_creates_the_checkpoint() {
+    let netlist = build_circuit(8);
+    let constraints = ConstraintSet::full_scan();
+    let path = TempCheckpoint::new("empty-worklist");
+    let config = ProofConfig {
+        checkpoint: Some(path.0.clone()),
+        ..sequential_config()
+    };
+    let campaign = prove_faults(&netlist, &constraints, &[], &config).unwrap();
+    assert!(campaign.outcomes.is_empty());
+    let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+    let text = std::fs::read_to_string(&path.0).unwrap();
+    assert!(
+        text.contains(&format!("fingerprint {fingerprint:016x}")),
+        "{text:?}"
+    );
 }

@@ -17,7 +17,7 @@
 use netlist::frontend::{load_netlist, Format};
 use netlist::stats::stats;
 use online_untestable::design::{ConstraintSpec, NetlistDesign};
-use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
+use online_untestable::flow::{FlowConfig, IdentificationFlow};
 use online_untestable::JsonValue;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,17 +90,9 @@ struct Options {
     circuit: String,
     format: Option<Format>,
     constraints: Option<String>,
-    threads: usize,
-    backtrack: usize,
-    max_proof: Option<usize>,
-    seed: Option<u64>,
-    proof: bool,
-    sat: bool,
-    sat_conflicts: u64,
-    stage_timeout: Option<Duration>,
-    fault_timeout: Option<Duration>,
-    checkpoint: Option<PathBuf>,
     json: bool,
+    /// The full pipeline, with every proof-stage flag written into it.
+    flow: FlowConfig,
 }
 
 fn parse_seconds(flag: &str, text: &str) -> Result<Duration, String> {
@@ -116,20 +108,12 @@ fn parse_options() -> Result<Option<Options>, String> {
         circuit: String::new(),
         format: None,
         constraints: None,
-        threads: 0,
-        backtrack: 32,
-        max_proof: None,
-        seed: None,
-        proof: true,
-        sat: true,
-        sat_conflicts: 20_000,
-        stage_timeout: None,
-        fault_timeout: None,
-        checkpoint: None,
         json: false,
+        flow: FlowConfig::full_pipeline(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let proof = &mut options.flow.proof;
         let mut value = |flag: &str| {
             args.next()
                 .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
@@ -144,49 +128,49 @@ fn parse_options() -> Result<Option<Options>, String> {
             }
             "--constraints" => options.constraints = Some(value("--constraints")?),
             "--threads" => {
-                options.threads = value("--threads")?
+                proof.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--backtrack" => {
-                options.backtrack = value("--backtrack")?
+                proof.backtrack_limit = value("--backtrack")?
                     .parse()
                     .map_err(|e| format!("--backtrack: {e}"))?
             }
             "--max-proof" => {
-                options.max_proof = Some(
+                proof.max_faults = Some(
                     value("--max-proof")?
                         .parse()
                         .map_err(|e| format!("--max-proof: {e}"))?,
                 )
             }
             "--seed" => {
-                options.seed = Some(
+                proof.sample_seed = Some(
                     value("--seed")?
                         .parse()
                         .map_err(|e| format!("--seed: {e}"))?,
                 )
             }
-            "--no-proof" => options.proof = false,
-            "--no-sat" => options.sat = false,
+            "--no-proof" => options.flow.run_atpg_proof = false,
+            "--no-sat" => proof.use_sat = false,
             "--sat-conflicts" => {
-                options.sat_conflicts = value("--sat-conflicts")?
+                proof.sat_conflict_limit = value("--sat-conflicts")?
                     .parse()
                     .map_err(|e| format!("--sat-conflicts: {e}"))?
             }
             "--stage-timeout" => {
-                options.stage_timeout = Some(parse_seconds(
+                proof.stage_timeout = Some(parse_seconds(
                     "--stage-timeout",
                     &value("--stage-timeout")?,
                 )?)
             }
             "--fault-timeout" => {
-                options.fault_timeout = Some(parse_seconds(
+                proof.fault_timeout = Some(parse_seconds(
                     "--fault-timeout",
                     &value("--fault-timeout")?,
                 )?)
             }
-            "--checkpoint" => options.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
+            "--checkpoint" => proof.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--json" => options.json = true,
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
@@ -253,23 +237,7 @@ fn run(options: &Options) -> Result<bool, String> {
         }
     };
 
-    let config = FlowConfig {
-        run_atpg_proof: options.proof,
-        proof: ProofStageConfig {
-            backtrack_limit: options.backtrack,
-            threads: options.threads,
-            max_faults: options.max_proof,
-            sample_seed: options.seed,
-            use_sat: options.sat,
-            sat_conflict_limit: options.sat_conflicts,
-            stage_timeout: options.stage_timeout,
-            fault_timeout: options.fault_timeout,
-            checkpoint: options.checkpoint.clone(),
-            ..ProofStageConfig::default()
-        },
-        ..FlowConfig::full_pipeline()
-    };
-    let report = IdentificationFlow::new(config)
+    let report = IdentificationFlow::new(options.flow.clone())
         .run(&design)
         .map_err(|e| format!("identification flow: {e}"))?;
     let deadline_hit = report

@@ -8,7 +8,7 @@
 //! (`BENCH_faultsim.json`, `BENCH_flow.json`) and fails when the measured
 //! wall-clock regresses past the committed numbers — the CI perf gate.
 
-use atpg::proof::{prove_faults, CampaignOptions, EngineBreakdown, EngineOutcome, ProofConfig};
+use atpg::proof::{prove_faults, EngineBreakdown, EngineOutcome, ProofConfig};
 use atpg::{ConstraintSet, FaultSim, ProofOutcome, SatProver, SatVerdict};
 use cpu::sbst::{standard_suite, suite_stimuli};
 use cpu::soc::{Soc, SocBuilder};
@@ -220,15 +220,17 @@ impl ProofCampaign {
     }
 
     /// The SAT escalation's worklist: the faults the committed PODEM
-    /// configuration aborts on. Computed outside any measured region. The
-    /// measured replays take the first [`SAT_STAGE_SLICE`] of them — the
-    /// full worklist costs minutes (the conflict-limited tail dominates),
-    /// which is bench-prohibitive for a smoke gate; the slice keeps the
-    /// per-fault cost representative while bounding the measured region.
+    /// configuration aborts on, with the escalation itself off. Computed
+    /// outside any measured region. The measured replays take the first
+    /// [`SAT_STAGE_SLICE`] of them — the full worklist costs minutes (the
+    /// conflict-limited tail dominates), which is bench-prohibitive for a
+    /// smoke gate; the slice keeps the per-fault cost representative while
+    /// bounding the measured region.
     pub fn sat_escalation_worklist(&self) -> Vec<StuckAt> {
         let outcomes = self.prove(&ProofConfig {
             backtrack_limit: 16,
             threads: 1,
+            use_sat: false,
             ..ProofConfig::default()
         });
         self.faults
@@ -266,15 +268,9 @@ impl ProofCampaign {
     }
 
     fn prove(&self, config: &ProofConfig) -> Vec<EngineOutcome> {
-        prove_faults(
-            &self.soc.netlist,
-            &self.constraints,
-            &self.faults,
-            config,
-            &CampaignOptions::default(),
-        )
-        .expect("proof run")
-        .outcomes
+        prove_faults(&self.soc.netlist, &self.constraints, &self.faults, config)
+            .expect("proof run")
+            .outcomes
     }
 }
 

@@ -24,15 +24,21 @@ use crate::rules::{
 };
 use crate::toggle::analyze_toggles;
 use atpg::analysis::StructuralAnalysis;
-use atpg::checkpoint::Checkpoint;
-use atpg::proof::{prove_faults, CampaignError, CampaignOptions, EngineBreakdown, ProofConfig};
-use atpg::{Budget, CancelToken, ConstraintSet, FailurePlan, FaultSim, InputVector, ProofOutcome};
+use atpg::proof::{prove_faults, CampaignError, EngineBreakdown};
+use atpg::{ConstraintSet, FaultSim, InputVector, ProofOutcome};
 use dft::trace::{find_scan_in_ports, trace_scan_chains};
 use faultmodel::{FaultClass, FaultList, StuckAt, UntestableSource};
-use netlist::{NetId, Netlist};
+use netlist::NetId;
 use std::fmt;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Configuration of the proof stage: one [`atpg::proof::ProofConfig`], the
+/// engine's own campaign description. Its default proves the **entire**
+/// surviving undetected population on the PODEM/SAT portfolio — cone
+/// clipping, SCOAP guidance and collapse scheduling make the full survivor
+/// set affordable, so `max_faults` is a debugging aid rather than a
+/// necessity.
+pub use atpg::proof::ProofConfig as ProofStageConfig;
 
 /// How the flow discovers the mission-constant debug/test control inputs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -44,120 +50,6 @@ pub enum DiscoveryMode {
     /// no activity, as the paper's engineers did with toggle-coverage metrics
     /// (§4). Slower, but needs no prior knowledge.
     ToggleAnalysis,
-}
-
-/// Configuration of the PODEM proof stage.
-///
-/// The default proves the **entire** surviving undetected population — the
-/// three per-fault reductions (cone clipping, SCOAP guidance and
-/// collapse-scheduling, all on by default) make the full survivor set
-/// affordable, so `max_faults` is a debugging aid rather than a necessity.
-#[derive(Clone, Debug)]
-pub struct ProofStageConfig {
-    /// Backtrack budget per fault; exhausted searches stay unclassified.
-    pub backtrack_limit: usize,
-    /// Worker threads for the fan-out (`0` = available parallelism). Any
-    /// value produces identical classifications.
-    pub threads: usize,
-    /// Upper bound on the number of surviving undetected faults handed to
-    /// PODEM; `None` (the default) proves the whole population. Survivors
-    /// are taken in fault-universe order unless `sample_seed` is set.
-    pub max_faults: Option<usize>,
-    /// When `max_faults` truncates the population, shuffle the survivors
-    /// first with this deterministic seed so the slice is a representative
-    /// sample instead of a universe-order prefix. `None` keeps the prefix.
-    pub sample_seed: Option<u64>,
-    /// Prove one representative per structural equivalence class and expand
-    /// concluded verdicts across the class (aborts never expand).
-    pub use_collapse: bool,
-    /// Clip every PODEM search to the fault's cones (faulty simulation over
-    /// the fanout cone, incremental good machine).
-    pub cone_clip: bool,
-    /// Steer the PODEM searches with SCOAP testability measures.
-    pub use_scoap: bool,
-    /// Prune hopeless branches with the X-path check. Turning all four
-    /// toggles off reproduces the pre-acceleration proof stage exactly.
-    pub use_x_path: bool,
-    /// Escalate PODEM aborts to the SAT proof backend (the PODEM/SAT
-    /// portfolio). On by default at the flow level: the portfolio converts
-    /// most of the abort column into proofs for the cost of re-attempting
-    /// only the faults PODEM already gave up on.
-    pub use_sat: bool,
-    /// Conflict budget per SAT escalation; exhausted solves stay aborted.
-    pub sat_conflict_limit: u64,
-    /// Wall-clock budget for the whole proof stage; faults not concluded by
-    /// then come back as timeout aborts (the campaign survives, the report
-    /// records the deadline hits). `None` — the default — is unbounded.
-    pub stage_timeout: Option<Duration>,
-    /// Per-fault wall-clock limit, additionally capped by the stage
-    /// deadline.
-    pub fault_timeout: Option<Duration>,
-    /// Checkpoint file for the proof stage: concluded verdicts are appended
-    /// incrementally and a later run resumes by re-proving only the faults
-    /// the interrupted run never concluded. The file is keyed by a
-    /// netlist+constraints+config fingerprint and refused on mismatch.
-    pub checkpoint: Option<PathBuf>,
-    /// Cooperative cancel token shared with the caller: cancelling it stops
-    /// the proof stage at the next engine poll point (the in-flight faults
-    /// come back as timeout aborts).
-    pub cancel: Option<CancelToken>,
-    /// Test-only failure injection threaded through to the proof engines
-    /// (worker panics, stalls, bogus SAT models). `None` — the default and
-    /// the only production value — injects nothing; chaos suites use it to
-    /// prove the supervision layers recover.
-    pub failure_plan: Option<FailurePlan>,
-}
-
-impl Default for ProofStageConfig {
-    fn default() -> Self {
-        ProofStageConfig {
-            backtrack_limit: 32,
-            threads: 0,
-            max_faults: None,
-            sample_seed: None,
-            use_collapse: true,
-            cone_clip: true,
-            use_scoap: true,
-            use_x_path: true,
-            use_sat: true,
-            sat_conflict_limit: 20_000,
-            stage_timeout: None,
-            fault_timeout: None,
-            checkpoint: None,
-            cancel: None,
-            failure_plan: None,
-        }
-    }
-}
-
-impl ProofStageConfig {
-    fn engine_config(&self) -> ProofConfig {
-        ProofConfig {
-            backtrack_limit: self.backtrack_limit,
-            threads: self.threads,
-            use_collapse: self.use_collapse,
-            cone_clip: self.cone_clip,
-            use_scoap: self.use_scoap,
-            use_x_path: self.use_x_path,
-            use_sat: self.use_sat,
-            sat_conflict_limit: self.sat_conflict_limit,
-            failure_plan: self.failure_plan,
-        }
-    }
-
-    fn budget(&self) -> Budget {
-        let mut budget = Budget::unlimited();
-        if let Some(token) = &self.cancel {
-            budget = budget.with_cancel(token.clone());
-        }
-        if let Some(timeout) = self.stage_timeout {
-            budget = budget.with_stage_timeout(timeout);
-        }
-        if let Some(timeout) = self.fault_timeout {
-            budget = budget.with_fault_timeout(timeout);
-        }
-        budget
-    }
 }
 
 /// Configuration of the identification flow.
@@ -241,24 +133,6 @@ impl fmt::Display for FlowError {
 }
 
 impl std::error::Error for FlowError {}
-
-/// Seeded Fisher–Yates shuffle over a slice, with a splitmix64 generator so
-/// the proof-stage sampling needs no RNG dependency and is reproducible
-/// across platforms.
-fn deterministic_shuffle<T>(items: &mut [T], seed: u64) {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for i in (1..items.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        items.swap(i, j);
-    }
-}
 
 /// The on-line functionally untestable fault identification flow.
 #[derive(Clone, Debug, Default)]
@@ -539,41 +413,18 @@ impl IdentificationFlow {
     /// concludes stay unclassified. The per-engine outcome counts land in the
     /// report's `engine_breakdown`.
     ///
-    /// The stage honours the survivability knobs in [`ProofStageConfig`]:
-    /// wall-clock deadlines and cancellation turn unconcluded faults into
-    /// timeout aborts, and a configured checkpoint file lets an interrupted
-    /// campaign resume by re-proving only the faults it never concluded.
+    /// The stage hands the configured [`ProofStageConfig`] to
+    /// [`prove_faults`] as it is: the worklist sample, the wall-clock limits,
+    /// the cancel token and the checkpoint file are all fields of it.
     fn stage_atpg_proof(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
         let tied = self.control_inputs_cached(ctx)?;
         let constraints = self.mission_constraints_from(ctx.design, &ctx.specs, &tied);
-        let mut survivors: Vec<(usize, StuckAt)> = ctx.master.undetected().collect();
-        if let Some(cap) = self.config.proof.max_faults {
-            if let Some(seed) = self.config.proof.sample_seed {
-                deterministic_shuffle(&mut survivors, seed);
-            }
-            survivors.truncate(cap);
-        }
-        let faults: Vec<StuckAt> = survivors.iter().map(|&(_, f)| f).collect();
-        let checkpoint = match &self.config.proof.checkpoint {
-            Some(path) => {
-                let fingerprint =
-                    self.campaign_fingerprint_from(ctx.design.netlist(), &constraints);
-                Some(
-                    Checkpoint::create_or_resume(path, fingerprint)
-                        .map_err(|e| FlowError::Checkpoint(e.to_string()))?,
-                )
-            }
-            None => None,
-        };
+        let (survivors, faults): (Vec<usize>, Vec<StuckAt>) = ctx.master.undetected().unzip();
         let campaign = prove_faults(
             ctx.design.netlist(),
             &constraints,
             &faults,
-            &self.config.proof.engine_config(),
-            &CampaignOptions {
-                budget: self.config.proof.budget(),
-                checkpoint: checkpoint.as_ref(),
-            },
+            &self.config.proof,
         )
         .map_err(|e| match e {
             CampaignError::Cyclic(loop_err) => FlowError::Analysis(loop_err.to_string()),
@@ -581,10 +432,10 @@ impl IdentificationFlow {
         })?;
         ctx.engine_breakdown = Some(EngineBreakdown::from_outcomes(&campaign.outcomes));
         let mut newly = 0usize;
-        for (&(index, _), outcome) in survivors.iter().zip(&campaign.outcomes) {
+        for (&input, outcome) in campaign.worklist.iter().zip(&campaign.outcomes) {
             if outcome.outcome == ProofOutcome::ProvenUntestable {
                 ctx.master.classify_at(
-                    index,
+                    survivors[input],
                     FaultClass::OnlineUntestable(UntestableSource::AtpgProof),
                 );
                 newly += 1;
@@ -666,17 +517,11 @@ impl IdentificationFlow {
     /// See [`FlowError`]; only control-input discovery can fail.
     pub fn campaign_fingerprint<D: Design>(&self, design: &D) -> Result<u64, FlowError> {
         let constraints = self.mission_constraints(design)?;
-        Ok(self.campaign_fingerprint_from(design.netlist(), &constraints))
-    }
-
-    /// [`campaign_fingerprint`](Self::campaign_fingerprint) with the mission
-    /// constraints already derived (the proof stage has them at hand).
-    fn campaign_fingerprint_from(&self, netlist: &Netlist, constraints: &ConstraintSet) -> u64 {
-        atpg::checkpoint::campaign_fingerprint(
-            netlist,
-            constraints,
-            &self.config.proof.engine_config(),
-        )
+        Ok(atpg::checkpoint::campaign_fingerprint(
+            design.netlist(),
+            &constraints,
+            &self.config.proof,
+        ))
     }
 
     /// The control inputs, discovered at most once per pipeline run.
@@ -1076,19 +921,6 @@ mod tests {
         // the stage still runs and the cap still holds.
         let c = IdentificationFlow::new(sampled(8)).run(&soc).unwrap();
         assert!(c.count_for(UntestableSource::AtpgProof) <= 40, "{c}");
-    }
-
-    #[test]
-    fn deterministic_shuffle_is_a_permutation() {
-        let mut items: Vec<usize> = (0..100).collect();
-        deterministic_shuffle(&mut items, 42);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(items, sorted, "a 100-element shuffle should move something");
-        let mut again: Vec<usize> = (0..100).collect();
-        deterministic_shuffle(&mut again, 42);
-        assert_eq!(items, again, "same seed, same permutation");
     }
 
     /// A small combinational circuit with a mission-constant input and an

@@ -1,6 +1,6 @@
 //! The fault universe: generation and classification bookkeeping.
 
-use crate::{FaultClass, FaultSite, StuckAt, UntestableSource};
+use crate::{FaultClass, StuckAt};
 use netlist::{CellId, Netlist, PinIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -79,20 +79,6 @@ impl FaultList {
             classes,
             index,
             by_cell,
-        }
-    }
-
-    /// Rebuilds the lookup indices (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .faults
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i))
-            .collect();
-        self.by_cell.clear();
-        for (i, fault) in self.faults.iter().enumerate() {
-            self.by_cell.entry(fault.site.cell()).or_default().push(i);
         }
     }
 
@@ -187,23 +173,6 @@ impl FaultList {
             .unwrap_or_default()
     }
 
-    /// All faults with a given classification.
-    pub fn faults_in_class(&self, class: FaultClass) -> Vec<StuckAt> {
-        self.iter()
-            .filter(|&(_, c)| c == class)
-            .map(|(f, _)| f)
-            .collect()
-    }
-
-    /// Number of faults currently classified as on-line functionally
-    /// untestable for a given source.
-    pub fn count_online_untestable(&self, source: UntestableSource) -> usize {
-        self.classes
-            .iter()
-            .filter(|&&c| c == FaultClass::OnlineUntestable(source))
-            .count()
-    }
-
     /// Number of faults in each classification, as a [`crate::ClassCounts`].
     pub fn counts(&self) -> crate::ClassCounts {
         let mut counts = crate::ClassCounts::default();
@@ -211,22 +180,6 @@ impl FaultList {
             counts.add(class, 1);
         }
         counts
-    }
-
-    /// Returns a new fault list containing only the faults for which `keep`
-    /// returns true, preserving their classifications.
-    pub fn filtered(&self, mut keep: impl FnMut(StuckAt, FaultClass) -> bool) -> FaultList {
-        let mut faults = Vec::new();
-        let mut classes = Vec::new();
-        for (f, c) in self.iter() {
-            if keep(f, c) {
-                faults.push(f);
-                classes.push(c);
-            }
-        }
-        let mut list = FaultList::from_faults(faults);
-        list.classes = classes;
-        list
     }
 
     /// Copies every non-`Undetected` classification from `other` into this
@@ -259,16 +212,10 @@ impl FaultList {
     }
 }
 
-impl FaultSite {
-    /// Enumerates both stuck-at faults on this site.
-    pub fn both_polarities(self) -> [StuckAt; 2] {
-        [StuckAt::new(self, false), StuckAt::new(self, true)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UntestableSource;
     use netlist::NetlistBuilder;
 
     fn sample() -> (Netlist, FaultList) {
@@ -300,7 +247,6 @@ mod tests {
         assert_eq!(list.class_of(f), Some(FaultClass::Detected));
         assert!(!list.classify_if_undetected(f, FaultClass::Tied));
         assert_eq!(list.class_of(f), Some(FaultClass::Detected));
-        assert_eq!(list.faults_in_class(FaultClass::Detected), vec![f]);
         assert_eq!(list.counts().detected, 1);
     }
 
@@ -329,19 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_keeps_classes() {
-        let (n, mut list) = sample();
-        let and = n.find_cell("u_and_1").unwrap();
-        list.classify(StuckAt::output(and, true), FaultClass::Detected);
-        let only_and = list.filtered(|f, _| f.site.cell() == and);
-        assert_eq!(only_and.len(), 6);
-        assert_eq!(
-            only_and.class_of(StuckAt::output(and, true)),
-            Some(FaultClass::Detected)
-        );
-    }
-
-    #[test]
     fn import_classes_relabels() {
         let (n, mut master) = sample();
         let mut analysed = master.clone();
@@ -356,10 +289,7 @@ mod tests {
             }
         });
         assert_eq!(imported, 2);
-        assert_eq!(
-            master.count_online_untestable(UntestableSource::DebugControl),
-            2
-        );
+        assert_eq!(master.counts().online(UntestableSource::DebugControl), 2);
         // Already-classified faults in the master are not overwritten.
         let mut master2 = master.clone();
         let before = master2.class_of(StuckAt::input(and, 0, false)).unwrap();
@@ -377,24 +307,5 @@ mod tests {
         let f = StuckAt::output(and, false);
         let list = FaultList::from_faults(vec![f, f, f]);
         assert_eq!(list.len(), 1);
-    }
-
-    #[test]
-    fn both_polarities_helper() {
-        let (n, _) = sample();
-        let and = n.find_cell("u_and_1").unwrap();
-        let site = FaultSite::CellOutput { cell: and };
-        let faults = site.both_polarities();
-        assert!(!faults[0].value);
-        assert!(faults[1].value);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let (n, mut list) = sample();
-        let and = n.find_cell("u_and_1").unwrap();
-        list.rebuild_index();
-        assert!(list.contains(StuckAt::output(and, true)));
-        assert_eq!(list.faults_of_cell(and).len(), 6);
     }
 }

@@ -1,5 +1,5 @@
 //! Graph algorithms over a [`Netlist`]: levelization of the combinational
-//! logic, fan-in / fan-out cone extraction and reachability queries.
+//! logic and fan-out cone extraction.
 //!
 //! Flip-flop outputs, tie cells and primary inputs are treated as sources;
 //! flip-flop inputs and primary outputs are sinks. This "cuts" the design at
@@ -120,32 +120,6 @@ pub fn levelize(netlist: &Netlist) -> Result<Levelization, CombinationalLoop> {
     })
 }
 
-/// Returns every live cell in the transitive fan-in of `nets`, stopping at
-/// (and excluding the fan-in of) sequential cells, tie cells and primary
-/// inputs when `stop_at_sequential` is set. The stopping cells themselves are
-/// included in the result.
-pub fn fanin_cone(netlist: &Netlist, nets: &[NetId], stop_at_sequential: bool) -> HashSet<CellId> {
-    let mut seen: HashSet<CellId> = HashSet::new();
-    let mut stack: Vec<NetId> = nets.to_vec();
-    while let Some(net) = stack.pop() {
-        let Some(driver) = netlist.driver_of(net) else {
-            continue;
-        };
-        if netlist.cell(driver).is_dead() || !seen.insert(driver) {
-            continue;
-        }
-        let kind = netlist.cell(driver).kind();
-        if stop_at_sequential && (kind.is_sequential() || kind.is_tie() || kind == CellKind::Input)
-        {
-            continue;
-        }
-        for &input in netlist.cell(driver).inputs() {
-            stack.push(input);
-        }
-    }
-    seen
-}
-
 /// Returns every live cell in the transitive fan-out of `nets`, stopping at
 /// (but including) sequential cells and primary outputs when
 /// `stop_at_sequential` is set.
@@ -170,23 +144,19 @@ pub fn fanout_cone(netlist: &Netlist, nets: &[NetId], stop_at_sequential: bool) 
     seen
 }
 
-/// Reusable allocation backing for repeated [`influence_cone_with`] calls:
-/// dense visited bitmaps (cleared incrementally between extractions) plus the
+/// Reusable allocation backing for repeated
+/// [`fanout_cone_with`](ConeExtractor::fanout_cone_with) calls: a dense
+/// visited bitmap (cleared incrementally between extractions) plus the
 /// traversal stack and result vector.
 ///
 /// One extraction per fault site is the hot shape of cone-clipped ATPG, so
 /// the marks are sized once for the design and only the entries touched by
 /// the previous cone are cleared.
-///
-/// [`influence_cone_with`]: ConeExtractor::influence_cone_with
 #[derive(Clone, Debug)]
 pub struct ConeExtractor {
     cell_mark: Vec<bool>,
-    net_mark: Vec<bool>,
-    marked_nets: Vec<u32>,
     stack: Vec<NetId>,
     cells: Vec<CellId>,
-    fanout: Vec<CellId>,
 }
 
 impl ConeExtractor {
@@ -194,77 +164,23 @@ impl ConeExtractor {
     pub fn new(netlist: &Netlist) -> Self {
         ConeExtractor {
             cell_mark: vec![false; netlist.num_cells()],
-            net_mark: vec![false; netlist.num_nets()],
-            marked_nets: Vec::new(),
             stack: Vec::new(),
             cells: Vec::new(),
-            fanout: Vec::new(),
         }
     }
 
-    /// The forward (fanout-cone) subset of the last
-    /// [`influence_cone_with`](Self::influence_cone_with) extraction, sorted
-    /// by arena index: every cell a fault effect entering on the site nets
-    /// can reach before the sequential / primary-output boundary — the only
-    /// cells whose values can ever differ between the good and the faulty
-    /// machine.
-    pub fn fanout_cone(&self) -> &[CellId] {
-        &self.fanout
-    }
-
-    /// Computes the *influence cone* of a fault entering the circuit on
-    /// `site_nets`: the union of the forward fanout cone of the sites
-    /// (stopping at, but including, sequential cells and primary outputs) and
-    /// the transitive fanin of every cell in that cone plus the sites
-    /// themselves (stopping at, but including, sequential cells, tie cells
-    /// and primary inputs).
-    ///
-    /// This is the complete set of cells that can (a) carry the fault effect
-    /// toward an observation point or (b) control the excitation of the site
-    /// and the side inputs along every propagation path — exactly the gate
-    /// set a combinational ATPG engine has to reason about for a fault on the
-    /// sites. The returned slice is sorted by arena index and valid until the
-    /// next extraction.
-    ///
-    /// The PODEM engine itself only consumes the forward half
-    /// ([`fanout_cone_with`](Self::fanout_cone_with)) — its good machine is
-    /// maintained incrementally, so it never materialises the fanin closure —
-    /// but the full influence cone is the right query for batch-oriented
-    /// consumers (per-fault sub-netlist extraction, cone-sized cost models,
-    /// partitioning a proof worklist by overlap).
-    pub fn influence_cone_with(&mut self, netlist: &Netlist, site_nets: &[NetId]) -> &[CellId] {
-        self.extract(netlist, site_nets, true);
-        &self.cells
-    }
-
-    /// The forward half of [`influence_cone_with`](Self::influence_cone_with)
-    /// alone: the fanout cone of `site_nets`, stopping at (but including)
-    /// sequential cells and primary outputs — the only cells whose values can
-    /// ever differ between a good and a faulty machine for a fault on the
-    /// sites. Sorted by arena index; valid until the next extraction.
+    /// The fanout cone of `site_nets`, stopping at (but including)
+    /// sequential cells and primary outputs — the only cells whose values
+    /// can ever differ between a good and a faulty machine for a fault on
+    /// the sites. Sorted by arena index; valid until the next extraction.
     pub fn fanout_cone_with(&mut self, netlist: &Netlist, site_nets: &[NetId]) -> &[CellId] {
-        self.extract(netlist, site_nets, false);
-        &self.fanout
-    }
-
-    fn extract(&mut self, netlist: &Netlist, site_nets: &[NetId], with_fanin: bool) {
         debug_assert_eq!(self.cell_mark.len(), netlist.num_cells());
         for &cell in &self.cells {
             self.cell_mark[cell.index()] = false;
         }
-        for &net in &self.marked_nets {
-            self.net_mark[net as usize] = false;
-        }
         self.cells.clear();
-        self.marked_nets.clear();
-
-        // Forward pass: the fanout cone of the sites. Record every net the
-        // cone reads (cell inputs) as a fanin seed for the backward pass.
         self.stack.clear();
-        for &net in site_nets {
-            self.mark_net(net);
-            self.stack.push(net);
-        }
+        self.stack.extend_from_slice(site_nets);
         while let Some(net) = self.stack.pop() {
             for load in netlist.loads_of(net) {
                 let sink = load.cell;
@@ -279,92 +195,13 @@ impl ConeExtractor {
                     continue;
                 }
                 if let Some(out) = netlist.output_net(sink) {
-                    self.mark_net(out);
                     self.stack.push(out);
                 }
             }
         }
-        let fanout_end = self.cells.len();
-        self.fanout.clear();
-        self.fanout.extend_from_slice(&self.cells);
-        self.fanout.sort_unstable();
-        if !with_fanin {
-            self.cells.sort_unstable();
-            return;
-        }
-
-        // Backward pass: the transitive fanin of the sites and of every input
-        // net the fanout cone reads.
-        self.stack.extend(site_nets.iter().copied());
-        for i in 0..fanout_end {
-            let cell = self.cells[i];
-            for &input in netlist.cell(cell).inputs() {
-                self.mark_net(input);
-                self.stack.push(input);
-            }
-        }
-        while let Some(net) = self.stack.pop() {
-            let Some(driver) = netlist.driver_of(net) else {
-                continue;
-            };
-            if netlist.cell(driver).is_dead() || self.cell_mark[driver.index()] {
-                continue;
-            }
-            self.cell_mark[driver.index()] = true;
-            self.cells.push(driver);
-            let kind = netlist.cell(driver).kind();
-            if kind.is_sequential() || kind.is_tie() || kind == CellKind::Input {
-                continue;
-            }
-            for &input in netlist.cell(driver).inputs() {
-                self.mark_net(input);
-                self.stack.push(input);
-            }
-        }
-
         self.cells.sort_unstable();
+        &self.cells
     }
-
-    fn mark_net(&mut self, net: NetId) {
-        if !self.net_mark[net.index()] {
-            self.net_mark[net.index()] = true;
-            self.marked_nets.push(net.index() as u32);
-        }
-    }
-}
-
-/// One-shot form of [`ConeExtractor::influence_cone_with`]: the influence
-/// cone of a fault on `site_nets` as a set. Hot callers (one extraction per
-/// fault) should hold a [`ConeExtractor`] instead.
-pub fn influence_cone(netlist: &Netlist, site_nets: &[NetId]) -> HashSet<CellId> {
-    let mut extractor = ConeExtractor::new(netlist);
-    extractor
-        .influence_cone_with(netlist, site_nets)
-        .iter()
-        .copied()
-        .collect()
-}
-
-/// Returns the set of nets reachable (forward) from `nets`, crossing
-/// combinational cells only.
-pub fn reachable_nets(netlist: &Netlist, nets: &[NetId]) -> HashSet<NetId> {
-    let mut seen: HashSet<NetId> = nets.iter().copied().collect();
-    let mut stack: Vec<NetId> = nets.to_vec();
-    while let Some(net) = stack.pop() {
-        for load in netlist.loads_of(net) {
-            let sink = load.cell;
-            let cell = netlist.cell(sink);
-            if cell.is_dead() || !cell.kind().is_combinational() {
-                continue;
-            }
-            if let Some(out) = netlist.output_net(sink) {
-                if seen.insert(out) {
-                    stack.push(out);
-                }
-            }
-        }
-    }
-    seen
 }
 
 #[cfg(test)]
@@ -424,25 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn fanin_cone_stops_at_ff() {
-        let (n, _x, y) = sample();
-        let cone = fanin_cone(&n, &[y], true);
-        // OR gate, the DFF (stop) and the input `a` (stop).
-        let kinds: Vec<CellKind> = cone.iter().map(|&c| n.cell(c).kind()).collect();
-        assert!(kinds.iter().any(|k| matches!(k, CellKind::Or(_))));
-        assert!(kinds.iter().any(|k| k.is_sequential()));
-        assert!(!kinds.iter().any(|k| matches!(k, CellKind::And(_))));
-    }
-
-    #[test]
-    fn fanin_cone_without_stop_crosses_ff() {
-        let (n, _x, y) = sample();
-        let cone = fanin_cone(&n, &[y], false);
-        let kinds: Vec<CellKind> = cone.iter().map(|&c| n.cell(c).kind()).collect();
-        assert!(kinds.iter().any(|k| matches!(k, CellKind::And(_))));
-    }
-
-    #[test]
     fn fanout_cone_reaches_output() {
         let (n, x, _) = sample();
         let cone = fanout_cone(&n, &[x], true);
@@ -453,110 +271,26 @@ mod tests {
     }
 
     #[test]
-    fn influence_cone_covers_fanout_and_its_fanin() {
-        // Two disjoint halves: a fault on the AND's output must pull in the
-        // OR it feeds (fanout), the OR's side input chain (fanin of the
-        // cone), and the AND's own inputs — but nothing from the second,
-        // unconnected half.
-        let mut b = NetlistBuilder::new("cone");
-        let a = b.input("a");
-        let c = b.input("b");
-        let side = b.input("side");
-        let x = b.and2(a, c);
-        let inv_side = b.not(side);
-        let y = b.or2(x, inv_side);
-        b.output("y", y);
-        // Unconnected half.
-        let u = b.input("u");
-        let v = b.input("v");
-        let z = b.xor2(u, v);
-        b.output("z", z);
-        let n = b.finish();
-        let cone = influence_cone(&n, &[x]);
-        let and = n.driver_of(x).unwrap();
-        let or = n.driver_of(y).unwrap();
-        let inv = n.driver_of(inv_side).unwrap();
-        assert!(cone.contains(&or), "fanout cone");
-        assert!(cone.contains(&inv), "fanin of the fanout cone");
-        assert!(cone.contains(&and), "fanin of the site itself");
-        let xor = n.driver_of(z).unwrap();
-        assert!(!cone.contains(&xor), "unconnected logic stays out");
-        // The cone also includes the stop cells: inputs and the output port.
-        for pi in n.primary_inputs() {
-            let in_cone = cone.contains(&pi);
-            let name = n.cell(pi).name().to_string();
-            assert_eq!(in_cone, name != "u" && name != "v", "{name}");
-        }
-    }
-
-    #[test]
-    fn influence_cone_stops_at_sequential_cells() {
-        let (n, x, _) = sample();
-        let cone = influence_cone(&n, &[x]);
-        // The fanout stops at the flip-flop: the OR behind it is not pulled
-        // in, but the flop itself (the observation boundary) is.
-        let kinds: Vec<CellKind> = cone.iter().map(|&c| n.cell(c).kind()).collect();
-        assert!(kinds.iter().any(|k| k.is_sequential()));
-        assert!(!kinds.iter().any(|k| matches!(k, CellKind::Or(_))));
-    }
-
-    #[test]
-    fn cone_extractor_exposes_the_fanout_subset() {
-        let (n, x, y) = sample();
-        let mut extractor = ConeExtractor::new(&n);
-        let cone: Vec<CellId> = extractor.influence_cone_with(&n, &[x]).to_vec();
-        let fanout = extractor.fanout_cone().to_vec();
-        // The fanout subset is sorted, contained in the influence cone, and
-        // matches the standalone fanout_cone query.
-        assert!(fanout.windows(2).all(|w| w[0] < w[1]));
-        assert!(fanout.iter().all(|c| cone.contains(c)));
-        let reference = fanout_cone(&n, &[x], true);
-        assert_eq!(
-            fanout.iter().copied().collect::<HashSet<_>>(),
-            reference,
-            "fanout subset must equal the classic fanout cone"
-        );
-        // The forward-only extraction returns the same subset.
-        assert_eq!(extractor.fanout_cone_with(&n, &[x]), &fanout[..]);
-        // `x` feeds only the DFF: the fanout subset is just the flop, while
-        // the influence cone also holds the AND and its input ports.
-        assert!(fanout.len() < cone.len());
-        let _ = y;
-    }
-
-    #[test]
     fn cone_extractor_is_reusable_and_sorted() {
-        let (n, x, y) = sample();
+        // Every single net of the sample as a site, then all of them at
+        // once: one extractor, reused, must agree with the one-shot query.
+        let (n, ..) = sample();
         let mut extractor = ConeExtractor::new(&n);
-        let first: Vec<CellId> = extractor.influence_cone_with(&n, &[x]).to_vec();
-        let again: Vec<CellId> = extractor.influence_cone_with(&n, &[x]).to_vec();
-        assert_eq!(first, again, "extraction must be idempotent");
-        assert!(first.windows(2).all(|w| w[0] < w[1]), "sorted, no dupes");
-        let mut other = influence_cone(&n, &[y]).into_iter().collect::<Vec<_>>();
-        other.sort_unstable();
-        assert_eq!(extractor.influence_cone_with(&n, &[y]), &other[..]);
-        // And the one-shot form agrees with the reusable form.
-        assert_eq!(
-            first
-                .iter()
-                .copied()
-                .collect::<std::collections::HashSet<_>>(),
-            influence_cone(&n, &[x])
-        );
-    }
-
-    #[test]
-    fn reachable_nets_crosses_comb_only() {
-        let (n, x, y) = sample();
-        let reach = reachable_nets(&n, &[x]);
-        assert!(reach.contains(&x));
-        assert!(!reach.contains(&y), "must not cross the flip-flop");
-        let q = n
-            .sequential_cells()
-            .first()
-            .and_then(|&ff| n.output_net(ff))
-            .unwrap();
-        let reach_q = reachable_nets(&n, &[q]);
-        assert!(reach_q.contains(&y));
+        let nets: Vec<NetId> = (0..n.num_nets()).map(NetId::from_index).collect();
+        let sites: Vec<&[NetId]> = nets.chunks(1).chain([&nets[..]]).collect();
+        for site in sites {
+            let cone = extractor.fanout_cone_with(&n, site).to_vec();
+            assert!(cone.windows(2).all(|w| w[0] < w[1]), "sorted, no dupes");
+            assert_eq!(
+                cone.iter().copied().collect::<HashSet<_>>(),
+                fanout_cone(&n, site, true),
+                "site {site:?}"
+            );
+            assert_eq!(
+                extractor.fanout_cone_with(&n, site),
+                &cone[..],
+                "extraction must be idempotent"
+            );
+        }
     }
 }

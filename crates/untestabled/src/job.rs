@@ -3,7 +3,7 @@
 
 use atpg::FailurePlan;
 use netlist::frontend::Format;
-use online_untestable::JsonValue;
+use online_untestable::{JsonValue, ProofStageConfig};
 use std::time::Duration;
 
 /// Proof-stage knobs a submission may set; everything is optional and
@@ -33,10 +33,11 @@ pub struct JobProofConfig {
 
 impl Default for JobProofConfig {
     fn default() -> Self {
+        let proof = ProofStageConfig::default();
         JobProofConfig {
-            backtrack: 32,
-            sat: true,
-            sat_conflicts: 20_000,
+            backtrack: proof.backtrack_limit,
+            sat: proof.use_sat,
+            sat_conflicts: proof.sat_conflict_limit,
             max_proof: None,
             seed: None,
             threads: 1,

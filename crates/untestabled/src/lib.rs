@@ -2,8 +2,9 @@
 //!
 //! The paper frames untestable-fault identification as a step engineers
 //! re-run continuously as a design evolves. This crate lifts the campaign
-//! survivability primitives of the `atpg` crate (budgets, cancel tokens,
-//! panic isolation, checkpoint/resume) one layer up, into a long-running
+//! survivability primitives of the `atpg` crate (timeouts, cancel tokens,
+//! panic isolation, checkpoint/resume — all fields of one proof
+//! configuration) one layer up, into a long-running
 //! daemon that stays correct and available while individual jobs panic,
 //! stall, or get killed mid-write:
 //!
@@ -17,13 +18,15 @@
 //!   its job is retried with exponential backoff up to a budget and then
 //!   quarantined as terminal `failed`;
 //! * per-request deadlines and client cancellation share one mechanism —
-//!   the campaign's `Budget`/`CancelToken`;
+//!   the campaign's stage timeout and `CancelToken`; a per-fault timeout
+//!   only turns slow faults into timeout aborts and still concludes the
+//!   job `done`;
 //! * crash-safe job state: per-job journals plus the per-verdict proof
 //!   checkpoint make a `kill -9` mid-campaign resume bit-identically on
 //!   restart;
 //! * a content-addressed result cache keyed by the campaign fingerprint;
 //!   corrupted entries are discarded and recomputed, never served, and
-//!   capped-worklist (`max_proof`) jobs bypass it.
+//!   capped-worklist (`max_proof`) and per-fault-timeout jobs bypass it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

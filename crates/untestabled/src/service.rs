@@ -107,7 +107,7 @@ struct AttemptInfo {
     epoch: u64,
     number: u32,
     token: CancelToken,
-    remaining: Option<Duration>,
+    deadline: Option<Instant>,
     checkpoint: PathBuf,
 }
 
@@ -606,7 +606,7 @@ impl Service {
             epoch: record.epoch,
             number: record.attempts,
             token: record.cancel.clone(),
-            remaining: record.deadline.map(|d| d.saturating_duration_since(now)),
+            deadline: record.deadline,
             checkpoint: self.job_dir(job.id).join("campaign.ckpt"),
         })
     }
@@ -627,8 +627,8 @@ impl Service {
                 record.error = Some(message);
                 self.persist_terminal(job, &record);
             }
-            Ok((report, deadline_hit)) => {
-                if !deadline_hit {
+            Ok((report, stopped)) => {
+                if !stopped {
                     record.state = JobState::Done;
                     record.report = Some(report);
                     self.persist_terminal(job, &record);
@@ -645,8 +645,7 @@ impl Service {
                     record.abort_reason = Some("timeout".to_string());
                     self.persist_terminal(job, &record);
                 } else {
-                    // The watchdog cancelled a stalled attempt (or the stage
-                    // timed out for another transient reason): retry.
+                    // The watchdog cancelled a stalled attempt: retry.
                     self.retryable_failure(job, &mut record, "timeout", "attempt stalled");
                 }
             }
@@ -848,7 +847,9 @@ fn flow_config(request: &JobRequest, attempt: Option<&AttemptInfo>) -> FlowConfi
             sample_seed: config.seed,
             use_sat: config.sat,
             sat_conflict_limit: config.sat_conflicts,
-            stage_timeout: attempt.and_then(|a| a.remaining),
+            stage_timeout: attempt
+                .and_then(|a| a.deadline)
+                .map(|d| d.saturating_duration_since(Instant::now())),
             fault_timeout: config.fault_timeout,
             checkpoint: attempt.map(|a| a.checkpoint.clone()),
             cancel: attempt.map(|a| a.token.clone()),
@@ -867,30 +868,38 @@ fn fingerprint_of(request: &JobRequest) -> Result<u64, String> {
         .map_err(|e| format!("constraint discovery: {e}"))
 }
 
-/// Runs one identification attempt; returns the report JSON and whether a
-/// wall-clock deadline (or cancellation) cut the campaign short.
+/// Runs one identification attempt; returns the report JSON and whether
+/// the attempt was stopped: its cancel token fired (client cancel,
+/// watchdog, hard stop, the monitor's deadline), or faults timed out with
+/// the job deadline already past. Any other timeout abort comes from the
+/// per-fault limit the job asked for and is part of a concluded report.
 fn execute(job: &Arc<Job>, attempt: &AttemptInfo) -> Result<(JsonValue, bool), String> {
     let design = design_of(&job.request)?;
     let config = flow_config(&job.request, Some(attempt));
     let report = IdentificationFlow::new(config)
         .run(&design)
         .map_err(|e| format!("identification flow: {e}"))?;
-    let deadline_hit = report
+    let timed_out = report
         .engine_breakdown
         .as_ref()
-        .is_some_and(|b| b.deadline_hit())
-        || attempt.token.is_cancelled();
-    Ok((report.to_json(), deadline_hit))
+        .is_some_and(|b| b.deadline_hit());
+    let stopped = attempt.token.is_cancelled()
+        || (timed_out && attempt.deadline.is_some_and(|d| Instant::now() >= d));
+    Ok((report.to_json(), stopped))
 }
 
 impl JobRequest {
     /// Whether the job's report may be served from, and stored in, the
     /// result cache. The cache is keyed by the campaign fingerprint, which
-    /// pins per-fault verdicts but not which faults a capped worklist
-    /// (`max_proof`) samples, so a capped job's report describes only its
-    /// own sample; a chaos job's injected failures may alter its report.
+    /// pins per-fault verdicts but neither which faults a capped worklist
+    /// (`max_proof`) samples nor which faults a per-fault timeout
+    /// (`fault_timeout`) cuts off on the wall clock, so such a job's report
+    /// describes only its own run; a chaos job's injected failures may alter
+    /// its report.
     fn cacheable(&self) -> bool {
-        self.chaos.is_none() && self.config.max_proof.is_none()
+        self.chaos.is_none()
+            && self.config.max_proof.is_none()
+            && self.config.fault_timeout.is_none()
     }
 
     /// An inert request for jobs whose journal was lost; never executed

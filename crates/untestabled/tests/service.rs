@@ -457,6 +457,43 @@ fn identical_resubmission_is_served_from_the_cache() {
 }
 
 #[test]
+fn a_per_fault_timeout_concludes_the_job_and_stays_out_of_the_cache() {
+    let server = TestServer::start("fault-timeout", |_| {});
+    let timeouts = |doc: &JsonValue| {
+        doc.get("report")
+            .and_then(|report| report.get("engine_breakdown"))
+            .and_then(|breakdown| breakdown.get("aborts"))
+            .and_then(|aborts| aborts.get("timeout"))
+            .and_then(JsonValue::as_u64)
+    };
+
+    // A zero per-fault limit times faults out on the wall clock. That is
+    // the limit the job asked for, not a stalled attempt: the job concludes
+    // on its first attempt with the timeout aborts in its report.
+    let (timed_id, _, _) = server.submit(&c17_body(", \"config\": {\"fault_timeout_ms\": 0}"));
+    let timed = client::wait_terminal(&server.addr, timed_id, Duration::from_secs(60)).unwrap();
+    assert_eq!(
+        timed.get("state").and_then(JsonValue::as_str),
+        Some("done"),
+        "{timed}"
+    );
+    assert_eq!(timed.get("attempts").and_then(JsonValue::as_u64), Some(1));
+    assert!(timeouts(&timed).unwrap() > 0, "{timed}");
+
+    // Same fingerprint as the untimed job, but a report of wall-clock
+    // aborts: it was not cached, so a default submission runs in full.
+    let (full_id, state, cached) = server.submit(&c17_body(""));
+    assert_eq!(state, "queued");
+    assert!(!cached);
+    let full = client::wait_terminal(&server.addr, full_id, Duration::from_secs(60)).unwrap();
+    assert_eq!(full.get("state").and_then(JsonValue::as_str), Some("done"));
+    assert_eq!(full.get("fingerprint"), timed.get("fingerprint"));
+    assert_eq!(timeouts(&full), Some(0), "{full}");
+
+    server.stop();
+}
+
+#[test]
 fn graceful_shutdown_drains_the_backlog() {
     let server = TestServer::start("drain", |config| {
         config.workers = 1;
