@@ -22,28 +22,7 @@ use crate::constant::{propagate_constants, ConstantValues, ConstraintSet};
 use crate::logic::Logic;
 use faultmodel::{FaultClass, FaultList, FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Summary statistics of one analysis run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AnalysisOutcome {
-    /// Faults examined (those still undetected on entry).
-    pub examined: usize,
-    /// Newly classified as tied (UT).
-    pub tied: usize,
-    /// Newly classified as blocked (UB).
-    pub blocked: usize,
-    /// Newly classified as unused (UU).
-    pub unused: usize,
-}
-
-impl AnalysisOutcome {
-    /// Total number of faults newly classified untestable.
-    pub fn total_untestable(&self) -> usize {
-        self.tied + self.blocked + self.unused
-    }
-}
 
 /// Per-net observability and per-pin propagation information computed by the
 /// structural analysis.
@@ -119,8 +98,40 @@ impl StructuralAnalysis {
         Observability { net_observable }
     }
 
-    /// Runs the full analysis, classifying every still-undetected fault in
-    /// `faults`. Returns summary statistics.
+    /// Screens every still-undetected fault of `faults` and returns the
+    /// universe index and structural class ([`FaultClass::Tied`],
+    /// [`FaultClass::Blocked`] or [`FaultClass::Unused`]) of each one the
+    /// screen proves untestable, in universe order. The list is left
+    /// untouched: the caller decides how to record a hit (the flow's §3
+    /// stages record it as on-line untestable from their source).
+    ///
+    /// # Errors
+    ///
+    /// Returns the levelization error if the combinational logic is cyclic.
+    pub fn classify(
+        &self,
+        netlist: &Netlist,
+        faults: &FaultList,
+    ) -> Result<Vec<(usize, FaultClass)>, graph::CombinationalLoop> {
+        let constants = self.constants(netlist)?;
+        let observability = self.observability(netlist, &constants);
+        Ok(faults
+            .undetected()
+            .filter_map(|(index, fault)| {
+                classify_fault(
+                    netlist,
+                    &self.constraints,
+                    &constants,
+                    &observability,
+                    fault,
+                )
+                .map(|class| (index, class))
+            })
+            .collect())
+    }
+
+    /// Runs [`classify`](Self::classify) and records each hit's structural
+    /// class in `faults`. Returns how many faults it classified.
     ///
     /// # Errors
     ///
@@ -129,35 +140,12 @@ impl StructuralAnalysis {
         &self,
         netlist: &Netlist,
         faults: &mut FaultList,
-    ) -> Result<AnalysisOutcome, graph::CombinationalLoop> {
-        let constants = self.constants(netlist)?;
-        let observability = self.observability(netlist, &constants);
-        let mut outcome = AnalysisOutcome::default();
-
-        let targets: Vec<StuckAt> = faults.undetected().map(|(_, f)| f).collect();
-        outcome.examined = targets.len();
-
-        for fault in targets {
-            let Some(class) = classify_fault(
-                netlist,
-                &self.constraints,
-                &constants,
-                &observability,
-                fault,
-            ) else {
-                continue;
-            };
-            let count = match class {
-                FaultClass::Tied => &mut outcome.tied,
-                FaultClass::Blocked => &mut outcome.blocked,
-                FaultClass::Unused => &mut outcome.unused,
-                other => unreachable!("the structural screen assigned {other:?}"),
-            };
-            *count += 1;
-            faults.classify(fault, class);
+    ) -> Result<usize, graph::CombinationalLoop> {
+        let hits = self.classify(netlist, faults)?;
+        for &(index, class) in &hits {
+            faults.classify_at(index, class);
         }
-
-        Ok(outcome)
+        Ok(hits.len())
     }
 }
 
@@ -312,7 +300,7 @@ mod tests {
         constraints.tie_net(a, false);
         let analysis = StructuralAnalysis::with_constraints(constraints);
         let mut faults = FaultList::full_universe(&n);
-        let outcome = analysis.run(&n, &mut faults).unwrap();
+        analysis.run(&n, &mut faults).unwrap();
 
         // AND output is constant 0: its stuck-at-0 is tied.
         assert_eq!(
@@ -338,8 +326,8 @@ mod tests {
             faults.class_of(StuckAt::input(and, 1, true)),
             Some(FaultClass::Blocked)
         );
-        assert!(outcome.tied > 0);
-        assert!(outcome.blocked > 0);
+        assert!(faults.counts().tied > 0);
+        assert!(faults.counts().blocked > 0);
     }
 
     #[test]
@@ -366,7 +354,7 @@ mod tests {
 
         // The inverter feeds only the masked output: all its faults are
         // blocked or unused.
-        for f in faults.faults_of_cell(inv) {
+        for &f in faults.faults().iter().filter(|f| f.site.cell() == inv) {
             assert!(
                 faults.class_of(f).unwrap().is_structurally_untestable(),
                 "{f:?} should be untestable"
@@ -395,8 +383,7 @@ mod tests {
         let n = b.finish();
         let analysis = StructuralAnalysis::with_constraints(ConstraintSet::full_scan());
         let mut faults = FaultList::full_universe(&n);
-        let outcome = analysis.run(&n, &mut faults).unwrap();
-        assert_eq!(outcome.total_untestable(), 0);
+        assert_eq!(analysis.run(&n, &mut faults).unwrap(), 0);
     }
 
     #[test]
@@ -524,11 +511,17 @@ mod tests {
         constraints.tie_net(a, true);
         let analysis = StructuralAnalysis::with_constraints(constraints);
         let mut faults = FaultList::full_universe(&n);
-        let outcome = analysis.run(&n, &mut faults).unwrap();
-        let counts = faults.counts();
-        assert_eq!(counts.tied, outcome.tied);
-        assert_eq!(counts.blocked, outcome.blocked);
-        assert_eq!(counts.unused, outcome.unused);
-        assert_eq!(outcome.total_untestable(), counts.structurally_untestable());
+        let hits = analysis.classify(&n, &faults).unwrap();
+        assert!(!hits.is_empty());
+        assert_eq!(faults.counts().structurally_untestable(), 0, "untouched");
+        let classified = analysis.run(&n, &mut faults).unwrap();
+        assert_eq!(classified, hits.len());
+        assert_eq!(classified, faults.counts().structurally_untestable());
+        let classes: Vec<FaultClass> = faults.iter().map(|(_, c)| c).collect();
+        for (index, class) in hits {
+            assert_eq!(classes[index], class);
+        }
+        // Faults already classified are not screened again.
+        assert!(analysis.classify(&n, &faults).unwrap().is_empty());
     }
 }

@@ -48,10 +48,10 @@
 //! let mut constraints = ConstraintSet::full_scan();
 //! constraints.tie_net(dbg_en, false);
 //! let mut faults = FaultList::full_universe(&n);
-//! let outcome = StructuralAnalysis::with_constraints(constraints)
+//! let classified = StructuralAnalysis::with_constraints(constraints)
 //!     .run(&n, &mut faults)
 //!     .unwrap();
-//! assert!(outcome.total_untestable() > 0);
+//! assert!(classified > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -73,7 +73,7 @@ pub mod proof;
 pub mod scoap;
 pub mod sim;
 
-pub use analysis::{AnalysisOutcome, StructuralAnalysis};
+pub use analysis::StructuralAnalysis;
 pub use budget::{AbortReason, CancelToken, FailurePlan};
 pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
 pub use cnf::{SatProver, SatVerdict};

@@ -33,17 +33,15 @@ fn fig6(c: &mut Criterion) {
     }
     let run_tied = || {
         let mut faults = FaultList::full_universe(&n);
-        let outcome = StructuralAnalysis::with_constraints(constraints.clone())
+        StructuralAnalysis::with_constraints(constraints.clone())
             .run(&n, &mut faults)
-            .expect("analysis");
-        outcome.total_untestable()
+            .expect("analysis")
     };
     let run_baseline = || {
         let mut faults = FaultList::full_universe(&n);
-        let outcome = StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
+        StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
             .run(&n, &mut faults)
-            .expect("analysis");
-        outcome.total_untestable()
+            .expect("analysis")
     };
 
     let baseline = run_baseline();

@@ -24,6 +24,7 @@ use cpu::sbst::{standard_suite, suite_stimuli};
 use cpu::soc::Soc;
 use netlist::frontend::ParseError;
 use netlist::{CellId, CellKind, NetId, Netlist};
+use std::collections::HashMap;
 
 /// The scan structure of a design, as the §3.1 rule and the mission
 /// constraints need it.
@@ -131,35 +132,25 @@ impl Design for Soc {
     }
 
     fn control_inputs(&self) -> Vec<(NetId, bool)> {
-        let mut tied = Vec::new();
-        tied.push((
-            self.debug.enable_net,
-            self.debug.config.mission_enable_value,
-        ));
-        for &net in &self.debug.data_nets {
-            tied.push((net, false));
-        }
-        if let Some(jtag) = &self.jtag {
-            for &net in &jtag.input_nets {
-                tied.push((net, false));
-            }
-        }
-        if let Some(bist) = &self.bist {
-            tied.push((bist.enable, false));
-        }
-        tied
+        let scan_nets: Vec<NetId> = self
+            .scan
+            .chains
+            .iter()
+            .map(|chain| chain.scan_in_net)
+            .chain(self.scan.scan_enable_net)
+            .collect();
+        self.mission_tied_inputs()
+            .into_iter()
+            .filter(|(net, _)| !scan_nets.contains(net))
+            .collect()
     }
 
     fn observation_outputs(&self) -> Vec<CellId> {
-        let mut outputs = self.debug.observation_ports.clone();
-        if let Some(jtag) = &self.jtag {
-            for load in self.netlist.loads_of(jtag.tdo) {
-                if self.netlist.cell(load.cell).kind() == CellKind::Output {
-                    outputs.push(load.cell);
-                }
-            }
-        }
-        outputs
+        let scan_outs: Vec<CellId> = self.scan.chains.iter().map(|c| c.scan_out_port).collect();
+        self.mission_unobserved_outputs()
+            .into_iter()
+            .filter(|po| !scan_outs.contains(po))
+            .collect()
     }
 
     fn scan_spec(&self) -> Option<ScanSpec> {
@@ -236,10 +227,13 @@ impl ConstraintSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] for unknown directives, malformed values and
-    /// missing arguments.
+    /// Returns a [`ParseError`] for unknown directives, malformed values,
+    /// missing arguments and a `force` that contradicts an earlier `force` of
+    /// the same net (repeating the same value is allowed).
     pub fn parse(text: &str) -> Result<ConstraintSpec, ParseError> {
         let mut spec = ConstraintSpec::default();
+        // First `force` line and value of each net.
+        let mut forced_at: HashMap<&str, (usize, bool)> = HashMap::new();
         for (index, raw_line) in text.lines().enumerate() {
             let line = index + 1;
             let code = raw_line.split('#').next().unwrap_or("").trim();
@@ -272,6 +266,19 @@ impl ConstraintSpec {
                             ))
                         }
                     };
+                    let &mut (first, earlier) = forced_at.entry(net).or_insert((line, value));
+                    if earlier != value {
+                        return Err(ParseError::new(
+                            line,
+                            1,
+                            format!(
+                                "`force {net} {}` contradicts `force {net} {}` on line {first}",
+                                u8::from(value),
+                                u8::from(earlier)
+                            ),
+                        )
+                        .with_token(net));
+                    }
                     spec.forced.push((net.to_string(), value));
                 }
                 "mask" => {
@@ -486,6 +493,13 @@ mod tests {
         assert_eq!(err.token.as_deref(), Some("freeze"));
         let err = ConstraintSpec::parse("force x 0 extra\n").unwrap_err();
         assert!(err.message.contains("trailing text"), "{err}");
+        // A net forced to both values is a contradiction, reported where the
+        // second value appears; repeating a value is harmless.
+        let err = ConstraintSpec::parse("force x 0\nforce x 1\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.token.as_deref(), Some("x"));
+        assert!(err.message.contains("line 1"), "{err}");
+        ConstraintSpec::parse("force x 0\nforce x 0\n").unwrap();
     }
 
     fn tiny_netlist() -> Netlist {

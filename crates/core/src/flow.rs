@@ -18,10 +18,7 @@
 
 use crate::design::Design;
 use crate::report::{IdentificationReport, PhaseResult};
-use crate::rules::{
-    analyse_manipulation, debug_control_manipulation, debug_observation_manipulation,
-    memory_map_manipulation, scan_rule,
-};
+use crate::rules::{scan_rule, tie_memory_map};
 use crate::toggle::analyze_toggles;
 use atpg::analysis::StructuralAnalysis;
 use atpg::proof::{prove_faults, CampaignError, EngineBreakdown};
@@ -254,8 +251,8 @@ impl IdentificationFlow {
         // Stage 0: baseline structural untestability, classified first so
         // that it is not attributed to any on-line source.
         ctx.record("baseline", |ctx| self.stage_baseline(ctx))?;
-        // Stages 1–4: the §3 screening rules on the manipulated circuit,
-        // each gated on the design actually having that structure. The
+        // Stages 1–4: the §3 screening rules, each screening the master list
+        // in place and gated on the design actually having that structure. The
         // debug-control gate passes when the design declares control inputs
         // or when toggle-analysis discovery has stimuli to derive them from;
         // a design with neither skips the stage under every discovery mode.
@@ -308,10 +305,9 @@ impl IdentificationFlow {
 
     /// Phase 0: baseline structural untestability.
     fn stage_baseline(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
-        let outcome = StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
+        ctx.baseline_structural = StructuralAnalysis::with_constraints(ConstraintSet::full_scan())
             .run(ctx.design.netlist(), &mut ctx.master)
             .map_err(|e| FlowError::Analysis(e.to_string()))?;
-        ctx.baseline_structural = outcome.total_untestable();
         Ok(ctx.baseline_structural)
     }
 
@@ -322,9 +318,8 @@ impl IdentificationFlow {
         let ports = find_scan_in_ports(netlist, &spec.scan_in_prefix);
         let trace = trace_scan_chains(netlist, &ports, &spec.scan_out_prefix)
             .map_err(|e| FlowError::ScanTrace(e.to_string()))?;
-        let result = scan_rule(netlist, &trace, spec.mission_scan_enable_value);
         let mut newly = 0usize;
-        for fault in result.untestable {
+        for fault in scan_rule(netlist, &trace, spec.mission_scan_enable_value) {
             if ctx
                 .master
                 .classify_if_undetected(fault, FaultClass::OnlineUntestable(UntestableSource::Scan))
@@ -338,30 +333,21 @@ impl IdentificationFlow {
     /// Phase 2: debug control logic (§3.2.1) — for generic designs, the
     /// spec-forced nets take the role of the tied-off control inputs.
     fn stage_debug_control(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
-        let tied = self.control_inputs_cached(ctx)?;
-        let manipulation = debug_control_manipulation(&tied);
-        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
-            .map_err(FlowError::Analysis)?;
-        Ok(ctx.master.import_classes(&analysed, |class| {
-            class
-                .is_structurally_untestable()
-                .then_some(FaultClass::OnlineUntestable(UntestableSource::DebugControl))
-        }))
+        let mut constraints = ConstraintSet::full_scan();
+        for (net, value) in self.control_inputs_cached(ctx)? {
+            constraints.tie_net(net, value);
+        }
+        screen(ctx, constraints, UntestableSource::DebugControl)
     }
 
     /// Phase 3: debug observation logic (§3.2.2) — for generic designs, the
     /// spec-masked observation points.
     fn stage_debug_observation(&self, ctx: &mut StageContext<'_>) -> Result<usize, FlowError> {
-        let manipulation = debug_observation_manipulation(&ctx.specs.observation);
-        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
-            .map_err(FlowError::Analysis)?;
-        Ok(ctx.master.import_classes(&analysed, |class| {
-            class
-                .is_structurally_untestable()
-                .then_some(FaultClass::OnlineUntestable(
-                    UntestableSource::DebugObservation,
-                ))
-        }))
+        let mut constraints = ConstraintSet::full_scan();
+        for &po in &ctx.specs.observation {
+            constraints.mask_output(po);
+        }
+        screen(ctx, constraints, UntestableSource::DebugObservation)
     }
 
     /// Phase 4: memory map (§3.3).
@@ -371,15 +357,14 @@ impl IdentificationFlow {
             .memory_map
             .as_ref()
             .expect("stage gated on the spec");
-        let manipulation =
-            memory_map_manipulation(ctx.design.netlist(), &spec.address_registers, &spec.map);
-        let (analysed, _) = analyse_manipulation(ctx.design.netlist(), &manipulation)
-            .map_err(FlowError::Analysis)?;
-        Ok(ctx.master.import_classes(&analysed, |class| {
-            class
-                .is_structurally_untestable()
-                .then_some(FaultClass::OnlineUntestable(UntestableSource::MemoryMap))
-        }))
+        let mut constraints = ConstraintSet::full_scan();
+        tie_memory_map(
+            &mut constraints,
+            ctx.design.netlist(),
+            &spec.address_registers,
+            &spec.map,
+        );
+        screen(ctx, constraints, UntestableSource::MemoryMap)
     }
 
     /// Phase 5: compiled-engine fault simulation of the design's functional
@@ -483,16 +468,12 @@ impl IdentificationFlow {
         }
         // Memory-map register ties (§3.3).
         if let Some(spec) = &specs.memory_map {
-            let manipulation =
-                memory_map_manipulation(design.netlist(), &spec.address_registers, &spec.map);
-            for (net, value) in manipulation
-                .to_constraints()
-                .forced_nets
-                .iter()
-                .map(|(&net, &value)| (net, value == atpg::Logic::One))
-            {
-                constraints.tie_net(net, value);
-            }
+            tie_memory_map(
+                &mut constraints,
+                design.netlist(),
+                &spec.address_registers,
+                &spec.map,
+            );
         }
         // Mission-unobserved outputs (§3.2.2 plus the scan-outs).
         for &po in &specs.observation {
@@ -571,6 +552,24 @@ impl IdentificationFlow {
             }
         }
     }
+}
+
+/// Screens the master fault list under one §3 manipulation and records
+/// every fault the structural analysis proves untestable as on-line
+/// untestable from `source`. Returns how many faults it classified.
+fn screen(
+    ctx: &mut StageContext<'_>,
+    constraints: ConstraintSet,
+    source: UntestableSource,
+) -> Result<usize, FlowError> {
+    let hits = StructuralAnalysis::with_constraints(constraints)
+        .classify(ctx.design.netlist(), &ctx.master)
+        .map_err(|e| FlowError::Analysis(e.to_string()))?;
+    for &(index, _) in &hits {
+        ctx.master
+            .classify_at(index, FaultClass::OnlineUntestable(source));
+    }
+    Ok(hits.len())
 }
 
 #[cfg(test)]

@@ -13,11 +13,14 @@
 //!
 //! 1. **search for sources of untestability** — [`toggle`] activity analysis
 //!    over the SBST suite, or the SoC integration specification;
-//! 2. **circuit manipulation** — [`manipulate`] ties mission-constant signals
-//!    and disconnects mission-unobserved outputs;
-//! 3. **screening** — the [`rules`] either prune faults directly (scan chain
-//!    tracing, §3.1) or run the structural untestability analysis of the
-//!    [`atpg`] crate on the manipulated circuit (§3.2, §3.3);
+//! 2. **circuit manipulation** — the [`rules`] express each manipulation as
+//!    an [`atpg::ConstraintSet`] that ties mission-constant signals and masks
+//!    mission-unobserved outputs ([`manipulate`] applies one physically to a
+//!    copy of the netlist);
+//! 3. **screening** — the scan rule prunes faults directly (scan chain
+//!    tracing, §3.1); the other rules screen the fault list in place with
+//!    the structural untestability analysis of the [`atpg`] crate under
+//!    their constraint set (§3.2, §3.3);
 //! 4. **simulation and proof** — the staged [`flow`] pipeline optionally
 //!    grades the SBST suite on the compiled fault simulator (dropping every
 //!    detected fault) and hands the survivors to the constraint-aware PODEM
@@ -54,6 +57,5 @@ pub use atpg::json::{JsonError, JsonValue};
 pub use atpg::proof::EngineBreakdown as ProofEngineBreakdown;
 pub use design::{ConstraintSpec, Design, NetlistDesign, SpecError};
 pub use flow::{DiscoveryMode, FlowConfig, FlowError, IdentificationFlow, ProofStageConfig};
-pub use manipulate::{Manipulation, ManipulationStep};
 pub use report::{IdentificationReport, PhaseResult};
 pub use toggle::{analyze_toggles, ToggleReport};

@@ -1,27 +1,22 @@
 //! The four identification rules of §3: scan circuitry, debug control logic,
 //! debug observation logic and memory-map address logic.
 //!
-//! Each rule produces either a direct list of faults to prune (scan) or a
-//! circuit [`Manipulation`] whose structural
-//! analysis reveals the on-line functionally untestable faults of that
-//! source. The [`flow`](crate::flow) module composes them and re-labels the
-//! findings into the master fault list.
+//! The scan rule (§3.1) lists the faults to prune directly. The other three
+//! are the paper's circuit manipulation, expressed as an
+//! [`atpg::ConstraintSet`] over the unmodified netlist: the debug rules tie
+//! every mission-constant control input ([`ConstraintSet::tie_net`], §3.2.1)
+//! and mask every mission-unobserved output ([`ConstraintSet::mask_output`],
+//! §3.2.2), and [`tie_memory_map`] ties the address-register bits the memory
+//! map freezes (§3.3). The [`flow`](crate::flow) module screens the master
+//! fault list under each set and records every hit as on-line untestable
+//! from that source.
 
-use crate::manipulate::Manipulation;
-use atpg::analysis::StructuralAnalysis;
-use faultmodel::{FaultList, StuckAt};
-use netlist::{CellId, NetId, Netlist};
+use atpg::ConstraintSet;
+use faultmodel::StuckAt;
+use netlist::{CellId, Netlist};
 
 use cpu::mem::MemoryMap;
 use dft::trace::{ScanElement, ScanTrace};
-
-/// Faults identified by the scan rule (§3.1), grouped for reporting.
-#[derive(Clone, Debug, Default)]
-pub struct ScanRuleResult {
-    /// The on-line functionally untestable faults: SI pins, mission-value SE
-    /// pins, scan-path buffers, scan-in nets and scan-out pins.
-    pub untestable: Vec<StuckAt>,
-}
 
 /// Applies the scan rule: walks the traced chains and enumerates the faults
 /// that only matter when the scan infrastructure is exercised.
@@ -29,12 +24,9 @@ pub struct ScanRuleResult {
 /// `mission_scan_enable` is the value the scan-enable signal holds in the
 /// field (usually 0); the stuck-at fault of that polarity on every SE pin is
 /// untestable while the opposite polarity (which would corrupt mission
-/// behaviour, Fig. 2) is kept in the fault list.
-pub fn scan_rule(
-    netlist: &Netlist,
-    trace: &ScanTrace,
-    mission_scan_enable: bool,
-) -> ScanRuleResult {
+/// behaviour, Fig. 2) is kept in the fault list. The faults come back
+/// sorted and deduplicated.
+pub fn scan_rule(netlist: &Netlist, trace: &ScanTrace, mission_scan_enable: bool) -> Vec<StuckAt> {
     let mut untestable = Vec::new();
 
     for chain in &trace.chains {
@@ -85,82 +77,55 @@ pub fn scan_rule(
 
     untestable.sort_unstable();
     untestable.dedup();
-    ScanRuleResult { untestable }
+    untestable
 }
 
-/// Builds the §3.2.1 manipulation: tie every debug/test control input to the
-/// constant it holds in mission mode.
-pub fn debug_control_manipulation(tied_inputs: &[(NetId, bool)]) -> Manipulation {
-    let mut m = Manipulation::new();
-    for &(net, value) in tied_inputs {
-        m.tie_net(net, value);
-    }
-    m
-}
-
-/// Builds the §3.2.2 manipulation: disconnect every debug observation output.
-pub fn debug_observation_manipulation(outputs: &[CellId]) -> Manipulation {
-    let mut m = Manipulation::new();
-    for &po in outputs {
-        m.float_output(po);
-    }
-    m
-}
-
-/// Builds the §3.3 manipulation: tie the input and output nets of every
-/// address-holding flip-flop whose address bit is frozen by the memory map.
-pub fn memory_map_manipulation(
+/// The §3.3 manipulation: ties the output and data-input nets of every
+/// address-holding flip-flop whose address bit the memory map freezes to the
+/// frozen value.
+pub fn tie_memory_map(
+    constraints: &mut ConstraintSet,
     netlist: &Netlist,
     address_registers: &[(CellId, u32)],
     memory_map: &MemoryMap,
-) -> Manipulation {
+) {
     let constant_bits = memory_map.constant_address_bits();
-    let mut m = Manipulation::new();
     for &(ff, bit) in address_registers {
         let Some(&(_, value)) = constant_bits.iter().find(|&&(b, _)| b == bit) else {
             continue;
         };
         // Output (Q) of the flip-flop…
         if let Some(q) = netlist.output_net(ff) {
-            m.tie_net(q, value);
+            constraints.tie_net(q, value);
         }
         // …and its data input, exactly as §3.3 case 1.a prescribes (the tool
         // "stops the untestable identification process at flip flops").
         if let Some(d_pin) = netlist.cell(ff).kind().data_pin() {
-            let d_net = netlist.input_net(ff, d_pin);
-            m.tie_net(d_net, value);
+            constraints.tie_net(netlist.input_net(ff, d_pin), value);
         }
     }
-    m
-}
-
-/// Runs the structural analysis of a manipulation over a fresh copy of the
-/// fault universe and returns the classified copy together with the number of
-/// untestable faults found.
-///
-/// # Errors
-///
-/// Returns an error string if the design cannot be levelized.
-pub fn analyse_manipulation(
-    netlist: &Netlist,
-    manipulation: &Manipulation,
-) -> Result<(FaultList, usize), String> {
-    let mut faults = FaultList::full_universe(netlist);
-    let outcome = StructuralAnalysis::with_constraints(manipulation.to_constraints())
-        .run(netlist, &mut faults)
-        .map_err(|e| e.to_string())?;
-    Ok((faults, outcome.total_untestable()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atpg::analysis::StructuralAnalysis;
     use cpu::soc::SocBuilder;
     use dft::trace::{find_scan_in_ports, trace_scan_chains};
-    use faultmodel::FaultClass;
+    use faultmodel::{FaultClass, FaultList};
 
     fn small_soc() -> cpu::soc::Soc {
         SocBuilder::small().build()
+    }
+
+    /// Screens a fresh fault universe of `netlist` under `constraints` and
+    /// returns the classified list with the number of untestable faults.
+    fn screen(netlist: &Netlist, constraints: ConstraintSet) -> (FaultList, usize) {
+        let mut faults = FaultList::full_universe(netlist);
+        let untestable = StructuralAnalysis::with_constraints(constraints)
+            .run(netlist, &mut faults)
+            .unwrap();
+        (faults, untestable)
     }
 
     #[test]
@@ -175,7 +140,7 @@ mod tests {
         // Per chain: 2 scan-in + 2 scan-out faults. Plus 1 scan-enable stem.
         let expected =
             3 * n_flops + 4 * n_buffers + 4 * trace.chains.len() + trace.scan_enable_nets.len();
-        assert_eq!(result.untestable.len(), expected);
+        assert_eq!(result.len(), expected);
         assert!(n_flops > 100);
         assert!(n_buffers > 50);
     }
@@ -192,7 +157,7 @@ mod tests {
             for ff in chain.flops() {
                 let se = soc.netlist.cell(ff).kind().scan_enable_pin().unwrap();
                 let dangerous = StuckAt::input(ff, se, true);
-                assert!(!result.untestable.contains(&dangerous));
+                assert!(!result.contains(&dangerous));
             }
         }
     }
@@ -200,14 +165,11 @@ mod tests {
     #[test]
     fn debug_control_analysis_finds_untestable_cone() {
         let soc = small_soc();
-        let tied: Vec<(NetId, bool)> = soc
-            .debug
-            .control_input_nets()
-            .into_iter()
-            .map(|n| (n, false))
-            .collect();
-        let manipulation = debug_control_manipulation(&tied);
-        let (faults, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
+        let mut constraints = ConstraintSet::full_scan();
+        for net in soc.debug.control_input_nets() {
+            constraints.tie_net(net, false);
+        }
+        let (faults, untestable) = screen(&soc.netlist, constraints);
         assert!(
             untestable > 0,
             "tying the debug inputs must kill some faults"
@@ -223,11 +185,14 @@ mod tests {
     #[test]
     fn observation_analysis_kills_observation_buffers() {
         let soc = small_soc();
-        let manipulation = debug_observation_manipulation(&soc.debug.observation_ports);
-        let (faults, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
+        let mut constraints = ConstraintSet::full_scan();
+        for &po in &soc.debug.observation_ports {
+            constraints.mask_output(po);
+        }
+        let (faults, untestable) = screen(&soc.netlist, constraints);
         assert!(untestable > 0);
         for &buf in &soc.debug.observation_buffers {
-            for fault in faults.faults_of_cell(buf) {
+            for &fault in faults.faults().iter().filter(|f| f.site.cell() == buf) {
                 assert!(
                     faults.class_of(fault).unwrap().is_structurally_untestable(),
                     "{fault:?}"
@@ -240,7 +205,8 @@ mod tests {
     fn memory_map_manipulation_ties_frozen_bits_only() {
         let soc = small_soc();
         let regs = soc.address_registers();
-        let manipulation = memory_map_manipulation(&soc.netlist, &regs, &soc.memory_map);
+        let mut constraints = ConstraintSet::full_scan();
+        tie_memory_map(&mut constraints, &soc.netlist, &regs, &soc.memory_map);
         let constant_bits: Vec<u32> = soc
             .memory_map
             .constant_address_bits()
@@ -251,18 +217,17 @@ mod tests {
             .iter()
             .filter(|&&(_, bit)| constant_bits.contains(&bit))
             .count();
-        // Two tie steps (D and Q) per frozen register bit.
-        assert_eq!(manipulation.len(), 2 * frozen_regs);
+        // Two tied nets (D and Q) per frozen register bit.
+        assert_eq!(constraints.forced_nets.len(), 2 * frozen_regs);
         assert!(frozen_regs > 0);
-        let (_, untestable) = analyse_manipulation(&soc.netlist, &manipulation).unwrap();
+        let (_, untestable) = screen(&soc.netlist, constraints);
         assert!(untestable > 0);
     }
 
     #[test]
     fn baseline_analysis_is_mostly_testable() {
         let soc = small_soc();
-        let (faults, untestable) =
-            analyse_manipulation(&soc.netlist, &Manipulation::new()).unwrap();
+        let (faults, untestable) = screen(&soc.netlist, ConstraintSet::full_scan());
         // Without any mission constraint only a small residue (tie cells,
         // padding in the reduced register file) is structurally untestable.
         let fraction = untestable as f64 / faults.len() as f64;

@@ -1,7 +1,7 @@
 //! The fault universe: generation and classification bookkeeping.
 
 use crate::{FaultClass, StuckAt};
-use netlist::{CellId, Netlist, PinIndex};
+use netlist::{Netlist, PinIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -35,8 +35,6 @@ pub struct FaultList {
     classes: Vec<FaultClass>,
     #[serde(skip)]
     index: HashMap<StuckAt, usize>,
-    #[serde(skip)]
-    by_cell: HashMap<CellId, Vec<usize>>,
 }
 
 impl FaultList {
@@ -70,15 +68,10 @@ impl FaultList {
             }
         }
         let classes = vec![FaultClass::Undetected; unique.len()];
-        let mut by_cell: HashMap<CellId, Vec<usize>> = HashMap::new();
-        for (i, fault) in unique.iter().enumerate() {
-            by_cell.entry(fault.site.cell()).or_default().push(i);
-        }
         FaultList {
             faults: unique,
             classes,
             index,
-            by_cell,
         }
     }
 
@@ -165,14 +158,6 @@ impl FaultList {
         self.classes[index] = class;
     }
 
-    /// All faults located on `cell` (any pin).
-    pub fn faults_of_cell(&self, cell: CellId) -> Vec<StuckAt> {
-        self.by_cell
-            .get(&cell)
-            .map(|v| v.iter().map(|&i| self.faults[i]).collect())
-            .unwrap_or_default()
-    }
-
     /// Number of faults in each classification, as a [`crate::ClassCounts`].
     pub fn counts(&self) -> crate::ClassCounts {
         let mut counts = crate::ClassCounts::default();
@@ -181,41 +166,11 @@ impl FaultList {
         }
         counts
     }
-
-    /// Copies every non-`Undetected` classification from `other` into this
-    /// list (for faults present in both). Returns how many classifications
-    /// were imported.
-    ///
-    /// Used to merge the results of analyses run on manipulated copies of the
-    /// design back into the master fault list, re-labelling structural
-    /// untestability as on-line untestability where requested.
-    pub fn import_classes(
-        &mut self,
-        other: &FaultList,
-        mut map: impl FnMut(FaultClass) -> Option<FaultClass>,
-    ) -> usize {
-        let mut imported = 0;
-        for (fault, class) in other.iter() {
-            if class == FaultClass::Undetected {
-                continue;
-            }
-            if let Some(new_class) = map(class) {
-                if let Some(i) = self.index_of(fault) {
-                    if self.classes[i] == FaultClass::Undetected {
-                        self.classes[i] = new_class;
-                        imported += 1;
-                    }
-                }
-            }
-        }
-        imported
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UntestableSource;
     use netlist::NetlistBuilder;
 
     fn sample() -> (Netlist, FaultList) {
@@ -265,39 +220,6 @@ mod tests {
         // same numeric id likely exists, so craft an out-of-range pin instead
         let f = StuckAt::input(bogus_cell, 17, false);
         assert!(!list.classify(f, FaultClass::Detected));
-    }
-
-    #[test]
-    fn faults_of_cell_returns_all_pins() {
-        let (n, list) = sample();
-        let and = n.find_cell("u_and_1").unwrap();
-        assert_eq!(list.faults_of_cell(and).len(), 6);
-    }
-
-    #[test]
-    fn import_classes_relabels() {
-        let (n, mut master) = sample();
-        let mut analysed = master.clone();
-        let and = n.find_cell("u_and_1").unwrap();
-        analysed.classify(StuckAt::input(and, 0, false), FaultClass::Tied);
-        analysed.classify(StuckAt::input(and, 1, false), FaultClass::Blocked);
-        let imported = master.import_classes(&analysed, |c| {
-            if c.is_structurally_untestable() {
-                Some(FaultClass::OnlineUntestable(UntestableSource::DebugControl))
-            } else {
-                None
-            }
-        });
-        assert_eq!(imported, 2);
-        assert_eq!(master.counts().online(UntestableSource::DebugControl), 2);
-        // Already-classified faults in the master are not overwritten.
-        let mut master2 = master.clone();
-        let before = master2.class_of(StuckAt::input(and, 0, false)).unwrap();
-        master2.import_classes(&analysed, |_| Some(FaultClass::Detected));
-        assert_eq!(
-            master2.class_of(StuckAt::input(and, 0, false)),
-            Some(before)
-        );
     }
 
     #[test]

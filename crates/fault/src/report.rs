@@ -95,8 +95,11 @@ impl ClassCounts {
         ratio(self.detected, self.total() - self.untestable_total())
     }
 
-    /// Fraction of the universe that is untestable (the paper's "coverage
-    /// loss" figure, 13.8 % in Table I).
+    /// Fraction of the universe that is untestable of any kind: structurally
+    /// untestable plus on-line untestable faults, over all faults. The
+    /// paper's Table I figure (13.8 %) counts on-line untestable faults only;
+    /// that is `online_untestable::IdentificationReport::untestable_fraction`,
+    /// the fraction every tool prints.
     pub fn untestable_fraction(&self) -> f64 {
         ratio(self.untestable_total(), self.total())
     }

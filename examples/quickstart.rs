@@ -23,12 +23,12 @@ fn toy_circuit() {
     let mut constraints = atpg::ConstraintSet::full_scan();
     constraints.tie_net(debug_enable, false);
     let mut faults = FaultList::full_universe(&design);
-    let outcome = StructuralAnalysis::with_constraints(constraints)
+    let untestable = StructuralAnalysis::with_constraints(constraints)
         .run(&design, &mut faults)
         .expect("analysis");
 
     println!("fault universe : {}", faults.len());
-    println!("untestable     : {}", outcome.total_untestable());
+    println!("untestable     : {untestable}");
     for (fault, class) in faults.iter() {
         if class.is_untestable() {
             println!("  {:<28} {}", fault.describe(&design), class);

@@ -65,6 +65,38 @@ fn total_loss_is_in_the_tens_of_percent_band() {
 }
 
 #[test]
+fn industrial_screening_matches_the_published_table() {
+    // The per-stage screening counts EXPERIMENTS.md publishes for the
+    // industrial-like SoC, which give the 13.8 % headline fraction.
+    let soc = SocBuilder::industrial().build();
+    let report = IdentificationFlow::new(FlowConfig::default())
+        .run(&soc)
+        .expect("flow");
+    let phases: Vec<(&str, usize)> = report
+        .phases
+        .iter()
+        .map(|p| (p.name.as_str(), p.newly_classified))
+        .collect();
+    assert_eq!(
+        phases,
+        [
+            ("baseline", 1_060),
+            ("scan", 7_089),
+            ("debug-control", 800),
+            ("debug-observe", 388),
+            ("memory-map", 1_320),
+        ],
+        "{report}"
+    );
+    assert_eq!(report.total_faults, 69_472);
+    assert_eq!(report.total_untestable(), 9_597);
+    assert_eq!(
+        format!("{:.1}", report.untestable_fraction() * 100.0),
+        "13.8"
+    );
+}
+
+#[test]
 fn debug_control_exceeds_debug_observation() {
     // In the paper 4,548 control faults vs 2,357 observation faults.
     let (_, report) = run_small();
