@@ -12,12 +12,12 @@
 //! Two persistence rules keep a resume sound:
 //!
 //! * The file is keyed by [`campaign_fingerprint`] — a structural hash of
-//!   the netlist, the [`ConstraintSet`] and the verdict-affecting parts of
-//!   the [`ProofConfig`]. A checkpoint whose
+//!   the netlist, the [`ConstraintSet`], the verdict-affecting parts of the
+//!   [`ProofConfig`] and the [`ENGINE_EPOCH`]. A checkpoint whose
 //!   fingerprint mismatches is refused
 //!   ([`CheckpointError::FingerprintMismatch`]): replaying verdicts across a
-//!   different design, environment or budget would silently corrupt the
-//!   classification. Thread count, wall-clock limits, the worklist sample
+//!   different design, environment, budget or engine would silently corrupt
+//!   the classification. Thread count, wall-clock limits, the worklist sample
 //!   and the checkpoint path do *not* enter the fingerprint — they change
 //!   how fast verdicts arrive or which faults are attempted, never which
 //!   verdict a fault gets.
@@ -70,7 +70,8 @@ pub enum CheckpointError {
         message: String,
     },
     /// The file was written for a different proof problem (netlist,
-    /// constraint environment, or verdict-affecting configuration).
+    /// constraint environment, verdict-affecting configuration, or engine
+    /// epoch).
     FingerprintMismatch {
         /// Fingerprint of the current campaign.
         expected: u64,
@@ -90,8 +91,8 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint fingerprint mismatch: file was written for campaign \
                  {found:016x}, this campaign is {expected:016x} (different design, \
-                 constraints, or proof configuration) — delete the file or point \
-                 --checkpoint elsewhere"
+                 constraints, proof configuration, or engine epoch) — delete the file \
+                 or point --checkpoint elsewhere"
             ),
         }
     }
@@ -134,9 +135,21 @@ impl Fnv {
     }
 }
 
+/// The version of the proof engines' verdicts under a fixed budget. A
+/// checkpoint or a cached report persists *deterministic aborts* too, so an
+/// engine change that concludes more faults within the same backtrack or
+/// conflict budget must bump this: the new value changes every
+/// [`campaign_fingerprint`], old checkpoints are refused and old cache
+/// entries miss, instead of serving the old engine's aborts.
+///
+/// * 0 — every engine before epochs were hashed;
+/// * 1 — the SAT encoding copies only the cone gates a faulty value reaches.
+pub const ENGINE_EPOCH: u64 = 1;
+
 /// The structural hash that keys a checkpoint to its proof problem: the
-/// netlist (cells, connectivity, names), the mission [`ConstraintSet`], and
-/// the verdict-affecting fields of the [`ProofConfig`]. Scheduling knobs
+/// netlist (cells, connectivity, names), the mission [`ConstraintSet`], the
+/// verdict-affecting fields of the [`ProofConfig`] and the
+/// [`ENGINE_EPOCH`]. Scheduling knobs
 /// (thread count, worklist sample), wall-clock limits, the cancel token and
 /// the checkpoint path are deliberately excluded — they never change which
 /// verdict a fault gets.
@@ -203,6 +216,7 @@ pub fn campaign_fingerprint(
     h.write_bool(config.use_x_path);
     h.write_bool(config.use_sat);
     h.write_u64(config.sat_conflict_limit);
+    h.write_u64(ENGINE_EPOCH);
     h.0
 }
 

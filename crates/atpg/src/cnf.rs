@@ -1,15 +1,17 @@
 //! Tseitin-style CNF encoding of the cone-clipped fault machine and the SAT
 //! untestability prover behind the PODEM/SAT portfolio ([`crate::proof`]).
 //!
-//! Per fault the encoder builds **two copies** of the fault site's fanout
-//! cone — the good machine and the faulty machine — over a shared fan-in:
-//! only the site and the cone gate outputs can differ between the machines,
-//! so every other net aliases its good-machine encoding and the CNF stays
-//! proportional to the cone plus its transitive fan-in rather than the whole
-//! design. Detection is an OR of XOR-difference literals at the observation
-//! nets inside the cone's neighbourhood (masked outputs never contribute),
-//! plus the branch-observation term for an input-pin fault sitting directly
-//! on an observation pin. Mission forces from the [`ConstraintSet`] enter as
+//! Per fault the encoder builds the good machine over the fault site's
+//! fanout cone and its transitive fan-in, and a faulty copy of only the
+//! cone gates a faulty value reaches: a gate is copied when one of its
+//! inputs is the faulted pin or already has a faulty encoding. Every other
+//! net aliases its good-machine encoding, so the CNF stays proportional to
+//! the fault's own fanout plus its fan-in rather than the whole design, and
+//! the solver never has to prove an unaffected sub-circuit equal to itself.
+//! Detection is an OR of XOR-difference literals at the observation nets
+//! with a faulty encoding (masked outputs never contribute), plus the
+//! branch-observation term for an input-pin fault sitting directly on an
+//! observation pin. Mission forces from the [`ConstraintSet`] enter as
 //! **unit assumptions** on fresh variables.
 //!
 //! The prover searches the same full-scan frame as [`crate::podem`]: its
@@ -362,12 +364,17 @@ impl<'f> Cnf<'f> {
     }
 }
 
-/// Builds the faulty cone copies and the detection terms for one fault.
+/// Builds the faulty copies of the affected cone gates and the detection
+/// terms for one fault.
 ///
 /// `gates` are the compiled gates of the site's fanout cone in ascending
 /// (topological) gate order; `faulty` arrives seeded with the site override
 /// for stem faults and leaves holding the faulty encoding of every net that
-/// can differ from the good machine.
+/// can differ from the good machine. A gate is copied only when a faulty
+/// value reaches it — one of its inputs is the faulted pin or already has a
+/// faulty encoding; any other gate computes the good function of good
+/// inputs, so its readers use the good encoding and its output needs no
+/// observation term (Larrabee's faulty circuit over the fault's own fanout).
 fn encode_fault(
     cnf: &mut Cnf<'_>,
     gates: &[(u32, CellId)],
@@ -387,14 +394,23 @@ fn encode_fault(
             continue;
         }
         let pins = netlist.cell(cell_id).inputs();
-        let mut ins = Vec::with_capacity(pins.len());
-        for (pin, &net) in pins.iter().enumerate() {
-            let faulted_pin = matches!(
+        let faulted_pin = |pin: usize| {
+            matches!(
                 fault.site,
                 FaultSite::CellInput { cell, pin: fpin }
                     if cell == cell_id && usize::from(fpin) == pin
-            );
-            let r = if faulted_pin {
+            )
+        };
+        let affected = pins
+            .iter()
+            .enumerate()
+            .any(|(pin, net)| faulted_pin(pin) || faulty.contains_key(net));
+        if !affected {
+            continue;
+        }
+        let mut ins = Vec::with_capacity(pins.len());
+        for (pin, &net) in pins.iter().enumerate() {
+            let r = if faulted_pin(pin) {
                 // Branch fault: only this cell's read of the net is stuck.
                 Repr::Const(stuck)
             } else if let Some(&fr) = faulty.get(&net) {
@@ -534,29 +550,33 @@ impl<'a> SatProver<'a> {
         self.corrupt_next_model = true;
     }
 
-    /// Attempts a definitive verdict for one stuck-at fault.
-    pub fn prove(&mut self, fault: StuckAt) -> SatVerdict {
-        self.last_abort_reason = None;
-        let frame = &self.frame;
-        let Some(site_net) = frame.site_net(fault) else {
-            // Detached output pin: nothing downstream can observe it.
-            return SatVerdict::ProvenUntestable;
-        };
-        let stuck = fault.value;
-
-        // The site's fanout cone, restricted to compiled gates, in ascending
-        // gate (= topological) order.
+    /// The fanout cone of `site_net`, restricted to compiled gates, in
+    /// ascending gate (= topological) order.
+    fn cone_gates(&mut self, site_net: NetId) -> Vec<(u32, CellId)> {
         let cone = self
             .extractor
-            .fanout_cone_with(frame.netlist(), &[site_net]);
+            .fanout_cone_with(self.frame.netlist(), &[site_net]);
         let mut gates: Vec<(u32, CellId)> = cone
             .iter()
             .filter_map(|&c| {
-                let g = frame.gate_of(c);
+                let g = self.frame.gate_of(c);
                 (g != NO_INDEX).then_some((g, c))
             })
             .collect();
         gates.sort_unstable();
+        gates
+    }
+
+    /// Attempts a definitive verdict for one stuck-at fault.
+    pub fn prove(&mut self, fault: StuckAt) -> SatVerdict {
+        self.last_abort_reason = None;
+        let Some(site_net) = self.frame.site_net(fault) else {
+            // Detached output pin: nothing downstream can observe it.
+            return SatVerdict::ProvenUntestable;
+        };
+        let gates = self.cone_gates(site_net);
+        let frame = &self.frame;
+        let stuck = fault.value;
 
         let mut cnf = Cnf::new(frame);
         let mut faulty: HashMap<NetId, Repr> = HashMap::new();
@@ -793,6 +813,39 @@ mod tests {
             p.prove(StuckAt::output(inv, false)),
             SatVerdict::Unsupported
         );
+    }
+
+    #[test]
+    fn branch_fault_encodes_only_the_faulted_branch() {
+        // Stem `a` feeds g1 = a AND x (driving o1) and g2 = a OR y, whose
+        // g3 = g2 XOR z drives o2. A fault on g1's `a` pin reaches g1 only:
+        // the g2/g3 branch keeps its good encoding and gets no XOR term.
+        let mut b = NetlistBuilder::new("branch");
+        let a = b.input("a");
+        let x = b.input("x");
+        let y = b.input("y");
+        let z = b.input("z");
+        let g1 = b.and2(a, x);
+        let g2 = b.or2(a, y);
+        let g3 = b.xor2(g2, z);
+        b.output("o1", g1);
+        b.output("o2", g3);
+        let n = b.finish();
+        let constraints = ConstraintSet::full_scan();
+        let mut p = prover(&n, &constraints);
+        let cell = n.driver_of(g1).unwrap();
+        let fault = StuckAt::new(FaultSite::CellInput { cell, pin: 0 }, false);
+        let site_net = p.frame.site_net(fault).expect("attached pin");
+        assert_eq!(site_net, a);
+        let gates = p.cone_gates(site_net);
+        let mut cnf = Cnf::new(&p.frame);
+        let mut faulty = HashMap::new();
+        let Ok(detection) = encode_fault(&mut cnf, &gates, fault, &mut faulty) else {
+            panic!("the frame controls every input");
+        };
+        assert_eq!(faulty.keys().copied().collect::<Vec<_>>(), vec![g1]);
+        assert_eq!(detection.terms.len(), 1);
+        assert!(!detection.trivially_detected);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod sim;
 
 pub use analysis::StructuralAnalysis;
 pub use budget::{AbortReason, CancelToken, FailurePlan};
-pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
+pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError, ENGINE_EPOCH};
 pub use cnf::{SatProver, SatVerdict};
 pub use compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors, SimScratch};
 pub use constant::{propagate_constants, ConstantValues, ConstraintSet};

@@ -4,10 +4,10 @@
 //!
 //! The pipeline is the full §4 loop: baseline structural analysis, the four
 //! §3 screening rules, compiled-engine fault simulation of the SBST suite
-//! (dropping everything the suite detects), and the constraint-aware PODEM
-//! proof stage over a budgeted slice of the survivors. The bench prints the
-//! per-stage fault-count deltas and timings, then measures the end-to-end
-//! flow runtime.
+//! (dropping everything the suite detects), and the constraint-aware
+//! PODEM/SAT proof portfolio over every survivor. The bench prints the
+//! per-stage fault-count deltas and timings and the proof engines'
+//! breakdown, then measures the end-to-end flow runtime.
 
 use bench::{print_stage_table, quick_pipeline_config, small_soc};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,6 +28,9 @@ fn flow_pipeline(c: &mut Criterion) {
         "atpg-proof bucket       : {} faults proven untestable",
         report.count_for(UntestableSource::AtpgProof)
     );
+    if let Some(engines) = report.engine_breakdown {
+        println!("proof engines           : {engines}");
+    }
     println!(
         "flow wall-clock         : {:.3} s (reference run; committed number in BENCH_flow.json)",
         elapsed.as_secs_f64()

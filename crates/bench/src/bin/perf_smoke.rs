@@ -15,11 +15,16 @@
 //! * `BENCH_flow.json` → the SAT escalation alone over the PODEM aborts
 //!   (`sat_throughput.sat_wall_clock_s`).
 //!
+//! The verdict counts it checks belong to the engine epoch
+//! `BENCH_flow.json` records (`workload.engine_epoch`); the gate refuses to
+//! run when that differs from `atpg::ENGINE_EPOCH`.
+//!
 //! Run with `cargo run --release -p bench --bin perf_smoke`. Refresh the
 //! committed numbers by re-running the `fault_sim_throughput`,
 //! `flow_pipeline`, `proof_throughput` and `sat_throughput` benches and
 //! editing the JSON files.
 
+use atpg::{ProofConfig, ENGINE_EPOCH};
 use bench::{
     industrial_soc, quick_pipeline_config, replay_faultsim_campaign, small_soc, FAULTSIM_SAMPLE,
     FAULTSIM_SEED,
@@ -66,6 +71,20 @@ fn main() {
 
     println!("perf-smoke gate (fail when measured > {factor:.1}x committed)");
     println!();
+
+    // The committed verdict counts below belong to one engine epoch: an
+    // engine that moved budget-limited verdicts bumps the epoch, and its
+    // counts must be re-recorded under the new epoch, never compared with
+    // (or recorded against) the old one's.
+    let committed_epoch = read_reference(&flow_json, "workload", "engine_epoch") as u64;
+    if committed_epoch != ENGINE_EPOCH {
+        eprintln!(
+            "perf-smoke gate failed: BENCH_flow.json records verdict counts for engine epoch \
+             {committed_epoch}, but this build is engine epoch {ENGINE_EPOCH} — re-run the \
+             flow_pipeline, proof_throughput and sat_throughput benches and re-record them."
+        );
+        std::process::exit(1);
+    }
 
     // Gate 1: the fault-simulation campaign of BENCH_faultsim.json. The
     // detection count is checked against the committed workload first — a
@@ -163,14 +182,14 @@ fn main() {
 
     // Gate 4: the SAT escalation alone — the first SAT_STAGE_SLICE faults
     // the committed PODEM configuration aborts on, replayed through one
-    // single-threaded SAT prover (the full worklist's conflict-limited tail
-    // costs minutes; the slice keeps the gate a smoke test). The proven
+    // single-threaded SAT prover (the sat_throughput bench replays the full
+    // worklist; the slice keeps the gate a smoke test). The proven
     // count is checked first for the same reason as the other workloads: a
     // solver that got faster by concluding less must fail, not pass.
     let campaign = bench::ProofCampaign::prepare();
     let worklist = campaign.sat_escalation_worklist();
     let slice = &worklist[..bench::SAT_STAGE_SLICE.min(worklist.len())];
-    let sat = campaign.run_sat_stage(slice);
+    let sat = campaign.run_sat_stage(slice, ProofConfig::default().sat_conflict_limit);
     println!(
         "sat_throughput          : {} of {} PODEM aborts, {} proven, {} testable, {} unresolved, \
          {:.3} s",

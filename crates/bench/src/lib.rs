@@ -202,15 +202,14 @@ impl ProofCampaign {
 
     /// Runs the proof stage once with the committed portfolio configuration
     /// (cone clipping, SCOAP guidance, X-path pruning, collapse scheduling,
-    /// PODEM aborts escalated to the SAT backend), timing only the proof run
-    /// itself.
+    /// PODEM aborts escalated to the SAT backend at the default conflict
+    /// budget), timing only the proof run itself.
     pub fn run(&self) -> ProofResult {
         let start = Instant::now();
         let outcomes = self.prove(&ProofConfig {
             backtrack_limit: 16,
             threads: 1,
             use_sat: true,
-            sat_conflict_limit: 20_000,
             ..ProofConfig::default()
         });
         ProofResult {
@@ -222,10 +221,9 @@ impl ProofCampaign {
     /// The SAT escalation's worklist: the faults the committed PODEM
     /// configuration aborts on, with the escalation itself off. Computed
     /// outside any measured region. The measured replays take the first
-    /// [`SAT_STAGE_SLICE`] of them — the full worklist costs minutes (the
-    /// conflict-limited tail dominates), which is bench-prohibitive for a
-    /// smoke gate; the slice keeps the per-fault cost representative while
-    /// bounding the measured region.
+    /// [`SAT_STAGE_SLICE`] of them, which bounds the measured region of a
+    /// smoke gate; the `sat_throughput` bench replays the full worklist
+    /// once, outside its measured loop.
     pub fn sat_escalation_worklist(&self) -> Vec<StuckAt> {
         let outcomes = self.prove(&ProofConfig {
             backtrack_limit: 16,
@@ -243,12 +241,13 @@ impl ProofCampaign {
 
     /// Replays the SAT escalation stage alone over `worklist` (normally
     /// [`sat_escalation_worklist`](Self::sat_escalation_worklist)): one
-    /// single-threaded [`SatProver`] at the committed 20,000-conflict
-    /// budget. This is the measured region of the `sat_throughput` bench and
-    /// the fourth `perf_smoke` gate.
-    pub fn run_sat_stage(&self, worklist: &[StuckAt]) -> SatStageResult {
-        let mut prover =
-            SatProver::new(&self.soc.netlist, &self.constraints, 20_000).expect("acyclic netlist");
+    /// single-threaded [`SatProver`] at `conflict_limit` conflicts per fault
+    /// (the committed budget is `ProofConfig::default().sat_conflict_limit`).
+    /// This is the measured region of the `sat_throughput` bench and the
+    /// fourth `perf_smoke` gate.
+    pub fn run_sat_stage(&self, worklist: &[StuckAt], conflict_limit: u64) -> SatStageResult {
+        let mut prover = SatProver::new(&self.soc.netlist, &self.constraints, conflict_limit)
+            .expect("acyclic netlist");
         let start = Instant::now();
         let (mut proven, mut test_exists, mut unresolved) = (0usize, 0usize, 0usize);
         for &fault in worklist {
@@ -383,6 +382,7 @@ mod tests {
                 &[
                     ("perf_smoke", "regression_factor"),
                     ("workload", "untestable_total"),
+                    ("workload", "engine_epoch"),
                     ("measured", "flow_wall_clock_s"),
                     ("proof_throughput", "proven"),
                     ("proof_throughput", "proof_wall_clock_s"),

@@ -11,7 +11,7 @@
 
 use crate::job::{JobRequest, JobState};
 use crate::queue::{JobQueue, QueueFull};
-use atpg::CancelToken;
+use atpg::{CancelToken, Checkpoint, CheckpointError, ENGINE_EPOCH};
 use netlist::frontend::parse_netlist;
 use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
 use online_untestable::{ConstraintSpec, JsonValue, NetlistDesign};
@@ -418,7 +418,8 @@ impl Service {
     /// Rebuilds the registry from the journals: a valid `result.json` is a
     /// terminal state; otherwise a valid `request.json` is an interrupted
     /// job, re-enqueued (its proof checkpoint replays concluded verdicts
-    /// bit-identically); a job with neither is quarantined as `failed`.
+    /// bit-identically, or is discarded when an older engine epoch wrote
+    /// it); a job with neither is quarantined as `failed`.
     fn recover(&self) {
         let jobs_dir = self.config.state_dir.join("jobs");
         let Ok(entries) = std::fs::read_dir(&jobs_dir) else {
@@ -520,6 +521,24 @@ impl Service {
         // regardless of the current flag.
         let request = JobRequest::from_json(&body, true)?;
         let fingerprint = fingerprint_of(&request)?;
+        // The journalled request never changes, so a proof checkpoint keyed
+        // to another campaign was written under an older engine epoch: its
+        // verdicts (aborts included) are stale. Re-prove every fault rather
+        // than fail the job on the mismatch.
+        let checkpoint = dir.join("campaign.ckpt");
+        if checkpoint.exists() {
+            if let Err(CheckpointError::FingerprintMismatch { found, .. }) =
+                Checkpoint::create_or_resume(&checkpoint, fingerprint)
+            {
+                eprintln!(
+                    "untestabled: job {id}: discarding campaign.ckpt written for campaign \
+                     {found:016x}, not {fingerprint:016x} (engine epoch {ENGINE_EPOCH}); \
+                     its faults are re-proven"
+                );
+                std::fs::remove_file(&checkpoint)
+                    .map_err(|e| format!("cannot discard stale campaign.ckpt: {e}"))?;
+            }
+        }
         Ok(Arc::new(Job {
             id,
             request,

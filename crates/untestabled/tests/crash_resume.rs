@@ -269,3 +269,71 @@ fn kill_nine_mid_campaign_resumes_bit_identically() {
         "missing torn-record warning; stderr:\n{stderr}"
     );
 }
+
+#[test]
+fn a_checkpoint_from_an_older_engine_is_discarded_on_restart() {
+    let body = format!(
+        "{{\"circuit\": {}}}",
+        JsonValue::string(circuit("c17.bench"))
+    );
+
+    // Reference: the same job on a pristine daemon.
+    let reference_dir = TempDir::new("epoch-reference");
+    let reference_daemon = Daemon::spawn(&reference_dir.0);
+    let (reference_id, _, _) = submit_accepted(&reference_daemon.addr, &body);
+    let reference = client::wait_terminal(
+        &reference_daemon.addr,
+        reference_id,
+        Duration::from_secs(60),
+    )
+    .unwrap();
+    assert_eq!(
+        reference.get("state").and_then(JsonValue::as_str),
+        Some("done")
+    );
+    let fingerprint = reference
+        .get("fingerprint")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_string();
+    reference_daemon.shutdown_graceful();
+
+    // A job interrupted under an older engine: its request is journalled,
+    // and its proof checkpoint is keyed to the old engine's campaign and
+    // holds one of that engine's aborts.
+    let state_dir = TempDir::new("epoch-upgraded");
+    let job_dir = state_dir.0.join("jobs").join("1");
+    std::fs::create_dir_all(&job_dir).unwrap();
+    std::fs::write(job_dir.join("request.json"), &body).unwrap();
+    let checkpoint = job_dir.join("campaign.ckpt");
+    std::fs::write(
+        &checkpoint,
+        "untestable-checkpoint v1\nfingerprint 0123456789abcdef\n\
+         fault o 0 - 0 sat aborted conflicts\n",
+    )
+    .unwrap();
+
+    // The upgraded daemon discards the stale journal and re-proves: the job
+    // concludes on its first attempt with the fresh verdict, journalled
+    // under the current fingerprint.
+    let upgraded = Daemon::spawn(&state_dir.0);
+    let resumed = client::wait_terminal(&upgraded.addr, 1, Duration::from_secs(60)).unwrap();
+    assert_eq!(
+        resumed.get("state").and_then(JsonValue::as_str),
+        Some("done"),
+        "{resumed}"
+    );
+    assert_eq!(resumed.get("attempts").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(verdict_of(&resumed), verdict_of(&reference));
+    let journal = std::fs::read_to_string(&checkpoint).unwrap();
+    assert_eq!(
+        journal.lines().nth(1),
+        Some(format!("fingerprint {fingerprint}").as_str())
+    );
+    assert!(!journal.contains("aborted"), "{journal}");
+    let stderr = upgraded.shutdown_graceful();
+    assert!(
+        stderr.contains("discarding campaign.ckpt"),
+        "missing stale-checkpoint notice; stderr:\n{stderr}"
+    );
+}

@@ -34,9 +34,8 @@
 //! * `--seed S` draws the capped worklist as a seeded random sample of the
 //!   survivors instead of a universe-order prefix (only meaningful together
 //!   with `--max-proof`);
-//! * `--no-sat` turns the SAT escalation off (PODEM only) — the portfolio's
-//!   conflict-limited tail dominates the proof stage's wall-clock, so this
-//!   is the biggest lever when iterating on the industrial SoC.
+//! * `--no-sat` turns the SAT escalation off (PODEM only), a faster pass
+//!   when iterating on the industrial SoC.
 
 use faultmodel::UntestableSource;
 use online_untestable::flow::ProofStageConfig;

@@ -63,12 +63,42 @@ fn synth_c432_screen_plus_proof_matches_the_cli_run() {
 fn synth_c432_campaign_fingerprint_is_pinned() {
     // The key every existing checkpoint and daemon cache entry for this
     // circuit was written under (the `fingerprint` line of
-    // `untestable --checkpoint`); a change here orphans all of them.
+    // `untestable --checkpoint`); a change here orphans all of them. Engine
+    // epoch 0 wrote `9d7e91e4b45d808f`.
     let design = synth_c432();
     let fingerprint = IdentificationFlow::new(FlowConfig::full_pipeline())
         .campaign_fingerprint(&design)
         .unwrap();
-    assert_eq!(format!("{fingerprint:016x}"), "9d7e91e4b45d808f");
+    assert_eq!(format!("{fingerprint:016x}"), "3bf0dbecd7c89e4e");
+}
+
+#[test]
+fn engine_epoch_pins_budget_limited_verdicts() {
+    // `untestable circuits/synth_c432.bench --constraints
+    // circuits/synth_c432.mission --backtrack 0 --sat-conflicts 100`: budgets
+    // this tight leave aborts in both columns, and a checkpoint or a cached
+    // report replays those aborts. An engine change that moves any of these
+    // counts must bump `ENGINE_EPOCH` (and update this pin with it), or a
+    // resumed campaign would mix the old engine's aborts into the new
+    // engine's verdicts.
+    let design = synth_c432();
+    let mut config = FlowConfig::full_pipeline();
+    config.proof.backtrack_limit = 0;
+    config.proof.sat_conflict_limit = 100;
+    let report = IdentificationFlow::new(config).run(&design).unwrap();
+    let expected = atpg::EngineBreakdown {
+        podem_test_exists: 924,
+        sat_test_exists: 28,
+        sat_proven: 25,
+        sat_aborted: 2,
+        aborted_conflicts: 2,
+        ..Default::default()
+    };
+    assert_eq!(
+        (atpg::ENGINE_EPOCH, report.engine_breakdown),
+        (1, Some(expected)),
+        "{report}"
+    );
 }
 
 #[test]
