@@ -177,14 +177,7 @@ pub fn campaign_fingerprint(
     let mut forced: Vec<(usize, u8)> = constraints
         .forced_nets
         .iter()
-        .map(|(&net, &value)| {
-            let v = match value.to_bool() {
-                Some(false) => 0,
-                Some(true) => 1,
-                None => 2,
-            };
-            (net.index(), v)
-        })
+        .map(|(&net, &value)| (net.index(), u8::from(value)))
         .collect();
     forced.sort_unstable();
     h.write_usize(forced.len());

@@ -23,9 +23,9 @@
 //! three-valued simulation is monotone, so a detecting partial assignment
 //! extends to a detecting complete one, and any satisfying complete
 //! assignment *is* a detecting test. When that precondition fails —
-//! uncontrollable flip-flop outputs, floating nets, or an `X` force in the
-//! fan-in — the prover declines with [`SatVerdict::Unsupported`] instead of
-//! guessing, and the portfolio keeps the search engine's verdict.
+//! uncontrollable flip-flop outputs or floating nets in the fan-in — the
+//! prover declines with [`SatVerdict::Unsupported`] instead of guessing, and
+//! the portfolio keeps the search engine's verdict.
 //!
 //! A `Sat` answer is never trusted on its own: the model is replayed through
 //! the three-valued simulator with the fault injected and must pass the
@@ -39,7 +39,7 @@ use netlist::{graph, CellId, CellKind, NetId, Netlist};
 use sat::{Lit, SolveResult, Solver, Var};
 
 use crate::budget::AbortReason;
-use crate::compiled::{SimScratch, NO_INDEX};
+use crate::compiled::NO_INDEX;
 use crate::constant::ConstraintSet;
 use crate::frame::Frame;
 use crate::logic::Logic;
@@ -62,8 +62,8 @@ pub enum SatVerdict {
     /// potentially testable.
     Aborted,
     /// The fault's environment falls outside the two-valued encoding
-    /// (uncontrollable flip-flop output, floating net, or `X` force in the
-    /// relevant fan-in); the caller should keep the search engine's verdict.
+    /// (uncontrollable flip-flop output or floating net in the relevant
+    /// fan-in); the caller should keep the search engine's verdict.
     Unsupported,
 }
 
@@ -301,9 +301,9 @@ impl<'f> Cnf<'f> {
     /// # Errors
     ///
     /// [`Unsupported`] when the fan-in contains a net the two-valued encoding
-    /// cannot represent exactly: an `X` force, a floating (driverless) net,
-    /// or a source the frame does not control (a flip-flop output while the
-    /// environment says those are not controllable).
+    /// cannot represent exactly: a floating (driverless) net, or a source the
+    /// frame does not control (a flip-flop output while the environment says
+    /// those are not controllable).
     fn good_repr(&mut self, net: NetId) -> Result<Repr, Unsupported> {
         debug_assert!(self.stack.is_empty());
         let frame = self.frame;
@@ -313,13 +313,9 @@ impl<'f> Cnf<'f> {
                 self.stack.pop();
                 continue;
             }
-            if let Some(value) = frame.forced_value(n) {
+            if let Some(bit) = frame.forced_value(n) {
                 // Mission force: a fresh variable pinned by a unit
                 // assumption, so learnt clauses stay environment-free.
-                let Some(bit) = value.to_bool() else {
-                    self.stack.clear();
-                    return Err(Unsupported);
-                };
                 let v = self.solver.new_var();
                 self.assumptions.push(Lit::new(v, bit));
                 self.good.insert(n, Repr::Lit(Lit::positive(v)));
@@ -481,7 +477,6 @@ pub struct SatProver<'a> {
     corrupt_next_model: bool,
     good_buf: NetValues,
     faulty_buf: NetValues,
-    scratch: SimScratch,
 }
 
 impl<'a> SatProver<'a> {
@@ -498,9 +493,8 @@ impl<'a> SatProver<'a> {
         conflict_limit: u64,
     ) -> Result<Self, graph::CombinationalLoop> {
         let frame = Frame::new(netlist, constraints)?;
-        let good_buf = frame.sim().blank_values();
-        let faulty_buf = frame.sim().blank_values();
-        let scratch = frame.sim().scratch();
+        let good_buf = frame.blank_values();
+        let faulty_buf = frame.blank_values();
         Ok(SatProver {
             frame,
             extractor: graph::ConeExtractor::new(netlist),
@@ -512,7 +506,6 @@ impl<'a> SatProver<'a> {
             corrupt_next_model: false,
             good_buf,
             faulty_buf,
-            scratch,
         })
     }
 
@@ -654,8 +647,8 @@ impl<'a> SatProver<'a> {
                         .map(|&(net, v)| (net, Logic::from_bool(v)))
                 };
                 let (good, faulty) = (&mut self.good_buf, &mut self.faulty_buf);
-                frame.simulate(assigned(), None, good, &mut self.scratch);
-                frame.simulate(assigned(), Some(fault), faulty, &mut self.scratch);
+                frame.simulate(assigned(), None, good);
+                frame.simulate(assigned(), Some(fault), faulty);
                 if frame.detects(fault, good, faulty, frame.observation_nets()) {
                     SatVerdict::TestExists
                 } else {

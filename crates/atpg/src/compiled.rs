@@ -12,15 +12,14 @@
 //! single flat `Vec<u32>` of input-net indices, a dense output-net index per
 //! cell, and dense tie/flop/output tables — in the style of classical
 //! bit-parallel (PPSFP) fault-simulation engines. Per-run state lives in
-//! reusable [`PackedScratch`]/[`SimScratch`] buffers densely indexed by
-//! `NetId::index()` / flop-table position, so the per-cycle hot path touches
-//! no hash map and performs no allocation.
+//! reusable [`PackedScratch`] buffers densely indexed by `NetId::index()` /
+//! flop-table position, or in the caller's scalar value array, so the
+//! per-cycle hot path touches no hash map and performs no allocation.
 
 use crate::fault_sim::InputVector;
 use crate::logic::Logic;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist, PinIndex, Reset};
-use std::collections::HashMap;
 
 /// Sentinel meaning "no net / no pin slot" in the dense `u32` tables.
 pub const NO_INDEX: u32 = u32::MAX;
@@ -88,8 +87,8 @@ struct Flop {
 /// densely indexed tables, ready for repeated allocation-free evaluation.
 ///
 /// Build one with [`CompiledProgram::compile`]; per-run mutable state lives
-/// in a [`PackedScratch`] (packed 64-machine simulation) or [`SimScratch`]
-/// (scalar three-valued propagation) owned by the caller, so one program can
+/// in a [`PackedScratch`] (packed 64-machine simulation) or a scalar value
+/// array (three-valued propagation) owned by the caller, so one program can
 /// serve many concurrent workers.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -393,95 +392,35 @@ impl CompiledProgram {
     // Scalar three-valued propagation
     // ------------------------------------------------------------------
 
-    /// Creates the reusable scratch for [`propagate_scalar`]
-    /// (an empty default-constructed [`SimScratch`] works too — it is sized
-    /// lazily on first use).
-    ///
-    /// [`propagate_scalar`]: CompiledProgram::propagate_scalar
-    pub fn sim_scratch(&self) -> SimScratch {
-        SimScratch {
-            forced: vec![false; self.num_nets],
-            touched: Vec::new(),
-        }
-    }
-
     /// Three-valued propagation over the compiled program: the engine behind
     /// [`CombSim::propagate`](crate::sim::CombSim::propagate), evaluating
     /// every gate directly over its pin window — no per-cell input buffer is
     /// allocated.
     ///
     /// On entry `values` holds primary-input, flip-flop-output and forced net
-    /// values; every other net is recomputed. `forced` nets are never
-    /// overwritten. `fault` optionally injects one stuck-at fault.
+    /// values; the tie constants are applied and every other net is
+    /// recomputed. `forced_mask` is the dense never-overwrite bitmap of the
+    /// forced nets, indexed by net, or empty when nothing is forced. `fault`
+    /// optionally injects one stuck-at fault.
     pub fn propagate_scalar(
         &self,
         netlist: &Netlist,
         values: &mut [Logic],
-        forced: &HashMap<NetId, Logic>,
+        forced_mask: &[bool],
         fault: Option<StuckAt>,
-        scratch: &mut SimScratch,
     ) {
-        debug_assert_eq!(values.len(), self.num_nets);
-        if scratch.forced.len() != self.num_nets {
-            scratch.forced = vec![false; self.num_nets];
-            scratch.touched.clear();
-        }
-
-        // Apply forced values and tie constants first.
-        for (&net, &v) in forced {
-            values[net.index()] = v;
-            if !scratch.forced[net.index()] {
-                scratch.forced[net.index()] = true;
-                scratch.touched.push(net.index() as u32);
-            }
-        }
         for &(net, value) in &self.tie_nets {
-            let n = net as usize;
-            if !scratch.forced[n] {
-                values[n] = Logic::from_bool(value);
+            if !is_forced(forced_mask, net as usize) {
+                values[net as usize] = Logic::from_bool(value);
             }
         }
-
-        // Output-pin fault on a source (input / tie / flip-flop): override
-        // the driven net before propagation.
-        if let Some(f) = fault {
-            if let FaultSite::CellOutput { cell } = f.site {
-                if !netlist.cell(cell).kind().is_combinational() {
-                    if let Some(out) = netlist.output_net(cell) {
-                        values[out.index()] = Logic::from_bool(f.value);
-                    }
-                }
-            }
-        }
-
-        // Decompose the fault once for the gate loop.
-        let (fault_cell, fault_pin, fault_value, fault_on_output) = decompose_fault(fault);
-
-        for g in 0..self.op.len() {
-            self.eval_gate(
-                g,
-                values,
-                &scratch.forced,
-                fault_cell,
-                fault_pin,
-                fault_value,
-                fault_on_output,
-            );
-        }
-
-        // Clear the forced marks for the next call.
-        for &n in &scratch.touched {
-            scratch.forced[n as usize] = false;
-        }
-        scratch.touched.clear();
+        self.propagate_gates(netlist, values, forced_mask, fault, 0..self.op.len());
     }
 
     /// Cone-clipped three-valued propagation: like
     /// [`propagate_scalar`](Self::propagate_scalar) but evaluating only the
     /// gates in `gates` — ascending gate-program indices, i.e. a
-    /// topologically consistent subset such as a fault's fanout cone — with
-    /// the constraint environment pre-lowered by the caller into
-    /// `forced_mask`, the dense never-overwrite bitmap of forced nets.
+    /// topologically consistent subset such as a fault's fanout cone.
     ///
     /// `values` must already hold the values of every net the clipped gates
     /// read (a cone-clipped caller syncs them from its good machine); nets
@@ -494,8 +433,23 @@ impl CompiledProgram {
         fault: Option<StuckAt>,
         gates: &[u32],
     ) {
-        debug_assert_eq!(values.len(), self.num_nets);
         debug_assert!(gates.windows(2).all(|w| w[0] < w[1]));
+        let gates = gates.iter().map(|&g| g as usize);
+        self.propagate_gates(netlist, values, forced_mask, fault, gates);
+    }
+
+    /// The gate loop shared by both scalar propagations: injects an
+    /// output-pin fault on a source, then evaluates `gates` in order.
+    fn propagate_gates(
+        &self,
+        netlist: &Netlist,
+        values: &mut [Logic],
+        forced_mask: &[bool],
+        fault: Option<StuckAt>,
+        gates: impl Iterator<Item = usize>,
+    ) {
+        debug_assert_eq!(values.len(), self.num_nets);
+        debug_assert!(forced_mask.is_empty() || forced_mask.len() == self.num_nets);
 
         // Output-pin fault on a source (input / tie / flip-flop): override
         // the driven net before propagation.
@@ -510,9 +464,9 @@ impl CompiledProgram {
         }
 
         let (fault_cell, fault_pin, fault_value, fault_on_output) = decompose_fault(fault);
-        for &g in gates {
+        for g in gates {
             self.eval_gate(
-                g as usize,
+                g,
                 values,
                 forced_mask,
                 fault_cell,
@@ -594,10 +548,17 @@ impl CompiledProgram {
             out_value = fault_value;
         }
         let out = self.out[g] as usize;
-        if !forced[out] {
+        if !is_forced(forced, out) {
             values[out] = out_value;
         }
     }
+}
+
+/// Whether net index `net` is set in `forced_mask` (an empty mask forces
+/// nothing).
+#[inline(always)]
+fn is_forced(forced_mask: &[bool], net: usize) -> bool {
+    forced_mask.get(net).copied().unwrap_or(false)
 }
 
 /// Lowers an optional stuck-at fault into the dense fields the gate loops
@@ -732,15 +693,6 @@ impl PackedVectors {
     }
 }
 
-/// Reusable scratch for [`CompiledProgram::propagate_scalar`]: a dense
-/// forced-net bitmap plus the list of entries to clear afterwards. A
-/// default-constructed scratch is sized lazily on first use.
-#[derive(Clone, Debug, Default)]
-pub struct SimScratch {
-    forced: Vec<bool>,
-    touched: Vec<u32>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,11 +782,10 @@ mod tests {
         b.output("y", y);
         let n = b.finish();
         let program = CompiledProgram::compile(&n).unwrap();
-        let mut scratch = SimScratch::default();
         let mut values = vec![Logic::X; n.num_nets()];
         values[a.index()] = Logic::One;
         values[c.index()] = Logic::Zero;
-        program.propagate_scalar(&n, &mut values, &HashMap::new(), None, &mut scratch);
+        program.propagate_scalar(&n, &mut values, &[], None);
         assert_eq!(values[y.index()], Logic::One);
     }
 }

@@ -7,8 +7,9 @@
 //! untestable. The analysis computes, for every net, whether it holds a
 //! constant value under the given constraints.
 
+use crate::frame::Frame;
 use crate::logic::Logic;
-use crate::sim::{CombSim, NetValues};
+use crate::sim::NetValues;
 use netlist::{graph, CellId, NetId, Netlist, PinIndex};
 use std::collections::{HashMap, HashSet};
 
@@ -17,9 +18,10 @@ use std::collections::{HashMap, HashSet};
 /// treated.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintSet {
-    /// Nets forced to a constant value (primary inputs tied to ground/Vdd,
-    /// flip-flop outputs tied by the memory-map manipulation, …).
-    pub forced_nets: HashMap<NetId, Logic>,
+    /// Nets tied to ground (`false`) or Vdd (`true`): primary inputs tied
+    /// by the specification, flip-flop outputs tied by the memory-map
+    /// manipulation, …
+    pub forced_nets: HashMap<NetId, bool>,
     /// Primary-output pseudo-cells that must *not* be used as observation
     /// points (debug observation buses disconnected in mission mode).
     pub masked_outputs: HashSet<CellId>,
@@ -44,7 +46,7 @@ impl ConstraintSet {
 
     /// Ties a net to a constant.
     pub fn tie_net(&mut self, net: NetId, value: bool) -> &mut Self {
-        self.forced_nets.insert(net, Logic::from_bool(value));
+        self.forced_nets.insert(net, value);
         self
     }
 
@@ -109,7 +111,9 @@ impl ConstantValues {
     }
 }
 
-/// Runs constant propagation under `constraints`.
+/// Runs constant propagation under `constraints`: the baseline of the
+/// proof frame, with the forced nets and ties applied and every free source
+/// `X`.
 ///
 /// # Errors
 ///
@@ -118,12 +122,11 @@ pub fn propagate_constants(
     netlist: &Netlist,
     constraints: &ConstraintSet,
 ) -> Result<ConstantValues, graph::CombinationalLoop> {
-    let sim = CombSim::new(netlist)?;
-    let mut values = sim.blank_values();
-    let mut scratch = sim.scratch();
+    let frame = Frame::new(netlist, constraints)?;
+    let mut values = frame.blank_values();
     // Primary inputs without constraints stay X, and so do flip-flop
     // outputs: the analysis is combinational, as in the paper's tool flow.
-    sim.propagate_with(&mut values, &constraints.forced_nets, None, &mut scratch);
+    frame.simulate([], None, &mut values);
 
     Ok(ConstantValues { values })
 }
@@ -199,5 +202,22 @@ mod tests {
         constraints.tie_net(q, false);
         let consts = propagate_constants(&n, &constraints).unwrap();
         assert_eq!(consts.value(y), Logic::Zero);
+    }
+
+    #[test]
+    fn forced_nets_are_not_overwritten() {
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a");
+        let y = b.not(a);
+        let z = b.buf(y);
+        b.output("z", z);
+        let n = b.finish();
+        let mut constraints = ConstraintSet::full_scan();
+        // The gate driving `y` computes 0, but the force wins and is what
+        // its loads read.
+        constraints.tie_net(a, true).tie_net(y, true);
+        let consts = propagate_constants(&n, &constraints).unwrap();
+        assert_eq!(consts.value(y), Logic::One);
+        assert_eq!(consts.value(z), Logic::One);
     }
 }

@@ -9,11 +9,18 @@
 //! [`SatProver`](crate::cnf::SatProver) draws its free variables from the
 //! controllable set and replays every model through [`Frame::simulate`] and
 //! the same [`Frame::detects`], so the two engines search one frame.
+//!
+//! The frame is the one place a mission force is lowered: it writes the
+//! forced values into every simulated machine and hands its dense
+//! never-overwrite mask to both scalar propagations of the
+//! [`CompiledProgram`]. Its baseline, [`Frame::simulate`] with no
+//! assignment, is the constant propagation of
+//! [`propagate_constants`](crate::constant::propagate_constants).
 
-use crate::compiled::SimScratch;
+use crate::compiled::CompiledProgram;
 use crate::constant::ConstraintSet;
 use crate::logic::Logic;
-use crate::sim::{CombSim, NetValues};
+use crate::sim::NetValues;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, NetId, Netlist, PinIndex};
 use std::collections::{HashMap, HashSet};
@@ -22,9 +29,9 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug)]
 pub(crate) struct Frame<'a> {
     netlist: &'a Netlist,
-    sim: CombSim<'a>,
+    program: CompiledProgram,
     /// The constraint-forced nets and their values.
-    forced: HashMap<NetId, Logic>,
+    forced: HashMap<NetId, bool>,
     /// Dense never-overwrite bitmap of `forced`.
     forced_mask: Vec<bool>,
     /// Dense bitmap of the nets a test may set: the unforced primary inputs
@@ -50,7 +57,7 @@ impl<'a> Frame<'a> {
         netlist: &'a Netlist,
         constraints: &ConstraintSet,
     ) -> Result<Self, graph::CombinationalLoop> {
-        let sim = CombSim::new(netlist)?;
+        let program = CompiledProgram::compile(netlist)?;
         let forced = constraints.forced_nets.clone();
         let mut forced_mask = vec![false; netlist.num_nets()];
         for &net in forced.keys() {
@@ -75,10 +82,10 @@ impl<'a> Frame<'a> {
             .filter(|n| is_obs_net[n.index()])
             .collect();
         let observation_pins = points.iter().map(|&(cell, pin, _)| (cell, pin)).collect();
-        let gate_of_cell = sim.program().gate_index_by_cell();
+        let gate_of_cell = program.gate_index_by_cell();
         Ok(Frame {
             netlist,
-            sim,
+            program,
             forced,
             forced_mask,
             controllable,
@@ -94,13 +101,18 @@ impl<'a> Frame<'a> {
         self.netlist
     }
 
-    /// The compiled three-valued simulator.
-    pub(crate) fn sim(&self) -> &CombSim<'a> {
-        &self.sim
+    /// The compiled simulation program.
+    pub(crate) fn program(&self) -> &CompiledProgram {
+        &self.program
+    }
+
+    /// An all-`X` value array sized for the design.
+    pub(crate) fn blank_values(&self) -> NetValues {
+        vec![Logic::X; self.netlist.num_nets()]
     }
 
     /// The value the constraints force on `net`, if any.
-    pub(crate) fn forced_value(&self, net: NetId) -> Option<Logic> {
+    pub(crate) fn forced_value(&self, net: NetId) -> Option<bool> {
         self.forced.get(&net).copied()
     }
 
@@ -158,14 +170,16 @@ impl<'a> Frame<'a> {
         assignments: impl IntoIterator<Item = (NetId, Logic)>,
         fault: Option<StuckAt>,
         values: &mut NetValues,
-        scratch: &mut SimScratch,
     ) {
         values.fill(Logic::X);
         for (net, value) in assignments {
             values[net.index()] = value;
         }
-        self.sim
-            .propagate_with(values, &self.forced, fault, scratch);
+        for (&net, &value) in &self.forced {
+            values[net.index()] = Logic::from_bool(value);
+        }
+        self.program
+            .propagate_scalar(self.netlist, values, &self.forced_mask, fault);
     }
 
     /// The detection criterion: a definite good/faulty difference at one of

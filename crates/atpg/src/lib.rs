@@ -77,7 +77,7 @@ pub use analysis::StructuralAnalysis;
 pub use budget::{AbortReason, CancelToken, FailurePlan};
 pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError, ENGINE_EPOCH};
 pub use cnf::{SatProver, SatVerdict};
-pub use compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors, SimScratch};
+pub use compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors};
 pub use constant::{propagate_constants, ConstantValues, ConstraintSet};
 pub use fault_sim::{FaultSim, FaultSimOutcome, InputVector};
 pub use logic::Logic;

@@ -128,7 +128,6 @@ mod tests {
     use super::*;
     use crate::sim::CombSim;
     use netlist::{CellKind, NetId, NetlistBuilder};
-    use std::collections::HashMap;
 
     #[test]
     fn basic_ops() {
@@ -186,7 +185,7 @@ mod tests {
         for (&net, &value) in pins.iter().zip(inputs) {
             values[net.index()] = value;
         }
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         values[y.index()]
     }
 

@@ -34,7 +34,7 @@
 //!   points, forced side inputs) this turns a large share of slow
 //!   backtrack-budget aborts into fast untestability proofs.
 
-use crate::compiled::{SimScratch, NO_INDEX};
+use crate::compiled::NO_INDEX;
 use crate::constant::ConstraintSet;
 use crate::frame::Frame;
 use crate::logic::Logic;
@@ -233,14 +233,13 @@ struct SearchScratch {
 
 /// The PODEM test generator.
 ///
-/// The engine owns reusable good/faulty value buffers and a propagation
-/// scratch, so repeated [`generate`](Self::generate) calls allocate nothing
-/// on the simulation path (which is why `generate` takes `&mut self`).
+/// The engine owns reusable good/faulty value buffers, so repeated
+/// [`generate`](Self::generate) calls allocate nothing on the simulation
+/// path (which is why `generate` takes `&mut self`).
 #[derive(Debug)]
 pub struct Podem<'a> {
     frame: Frame<'a>,
     config: PodemConfig,
-    scratch: SimScratch,
     good_buf: NetValues,
     faulty_buf: NetValues,
     last_backtracks: usize,
@@ -269,9 +268,8 @@ impl<'a> Podem<'a> {
         config: PodemConfig,
     ) -> Result<Self, graph::CombinationalLoop> {
         let frame = Frame::new(netlist, constraints)?;
-        let mut scratch = frame.sim().scratch();
-        let mut good_buf = frame.sim().blank_values();
-        let faulty_buf = frame.sim().blank_values();
+        let mut good_buf = frame.blank_values();
+        let faulty_buf = frame.blank_values();
         let scoap = if config.scoap_guidance {
             Some(compute_scoap(netlist, constraints)?)
         } else {
@@ -282,14 +280,14 @@ impl<'a> Podem<'a> {
             // Baseline of the incremental good machine: ties and forced nets
             // applied, every free net X. The search applies and retracts its
             // assignments through the event queue, always returning here.
-            frame.simulate([], None, &mut good_buf, &mut scratch);
+            frame.simulate([], None, &mut good_buf);
         }
         let search = SearchScratch {
             heap: std::collections::BinaryHeap::new(),
             dirty: vec![
                 false;
                 if clip.is_some() {
-                    frame.sim().program().num_gates()
+                    frame.program().num_gates()
                 } else {
                     0
                 }
@@ -301,7 +299,6 @@ impl<'a> Podem<'a> {
         Ok(Podem {
             frame,
             config,
-            scratch,
             good_buf,
             faulty_buf,
             last_backtracks: 0,
@@ -389,7 +386,7 @@ impl<'a> Podem<'a> {
     /// per wave and the result equals a from-scratch propagation — the
     /// incremental update changes values, never decisions.
     fn good_flush(&self, search: &mut SearchScratch, values: &mut NetValues) {
-        let program = self.frame.sim().program();
+        let program = self.frame.program();
         while let Some(std::cmp::Reverse(g)) = search.heap.pop() {
             let gi = g as usize;
             search.dirty[gi] = false;
@@ -431,7 +428,7 @@ impl<'a> Podem<'a> {
                 faulty[site_net.index()] = Logic::from_bool(fault.value);
             }
         }
-        self.frame.sim().program().propagate_scalar_clipped(
+        self.frame.program().propagate_scalar_clipped(
             self.frame.netlist(),
             faulty,
             self.frame.forced_mask(),
@@ -647,20 +644,12 @@ impl<'a> Podem<'a> {
         // checker lets the read-only engine use them alongside `&self`.
         let mut good = std::mem::take(&mut self.good_buf);
         let mut faulty = std::mem::take(&mut self.faulty_buf);
-        let mut scratch = std::mem::take(&mut self.scratch);
         let mut clip = self.clip.take();
         let mut search = std::mem::take(&mut self.search);
-        let (outcome, backtracks, interrupted) = self.generate_inner(
-            fault,
-            &mut good,
-            &mut faulty,
-            &mut scratch,
-            clip.as_mut(),
-            &mut search,
-        );
+        let (outcome, backtracks, interrupted) =
+            self.generate_inner(fault, &mut good, &mut faulty, clip.as_mut(), &mut search);
         self.good_buf = good;
         self.faulty_buf = faulty;
-        self.scratch = scratch;
         self.clip = clip;
         self.search = search;
         self.last_backtracks = backtracks;
@@ -813,7 +802,6 @@ impl<'a> Podem<'a> {
         fault: StuckAt,
         good: &mut NetValues,
         faulty: &mut NetValues,
-        scratch: &mut SimScratch,
         clip: Option<&mut ClipEngine>,
         search: &mut SearchScratch,
     ) -> (PodemOutcome, usize, bool) {
@@ -823,10 +811,10 @@ impl<'a> Podem<'a> {
             return (PodemOutcome::Redundant, 0, false);
         };
         if good.len() != self.frame.netlist().num_nets() {
-            *good = self.frame.sim().blank_values();
+            *good = self.frame.blank_values();
         }
         if faulty.len() != self.frame.netlist().num_nets() {
-            *faulty = self.frame.sim().blank_values();
+            *faulty = self.frame.blank_values();
         }
         // Clip the search to the fault's fanout cone: one cheap extraction
         // per fault buys faulty simulation, D-frontier scanning and detection
@@ -863,9 +851,8 @@ impl<'a> Podem<'a> {
                 }
                 None => {
                     let assigned = || assignments.iter().map(|(&net, &v)| (net, v));
-                    self.frame.simulate(assigned(), None, good, scratch);
-                    self.frame
-                        .simulate(assigned(), Some(fault), faulty, scratch);
+                    self.frame.simulate(assigned(), None, good);
+                    self.frame.simulate(assigned(), Some(fault), faulty);
                 }
             }
 

@@ -97,16 +97,12 @@ pub fn compute_scoap(
     }
     // Constraint ties override.
     for (&net, &value) in &constraints.forced_nets {
-        match value.to_bool() {
-            Some(true) => {
-                cc1[net.index()] = 0;
-                cc0[net.index()] = SCOAP_INFINITY;
-            }
-            Some(false) => {
-                cc0[net.index()] = 0;
-                cc1[net.index()] = SCOAP_INFINITY;
-            }
-            None => {}
+        if value {
+            cc1[net.index()] = 0;
+            cc0[net.index()] = SCOAP_INFINITY;
+        } else {
+            cc0[net.index()] = 0;
+            cc1[net.index()] = SCOAP_INFINITY;
         }
     }
 

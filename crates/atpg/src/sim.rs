@@ -2,7 +2,7 @@
 //! cycle-accurate sequential wrapper, both with single-stuck-at fault
 //! injection.
 
-use crate::compiled::{CompiledProgram, SimScratch};
+use crate::compiled::CompiledProgram;
 use crate::logic::Logic;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist, Reset};
@@ -20,8 +20,8 @@ pub type FfState = Vec<Logic>;
 /// The simulator treats flip-flop output nets as inputs (their values come
 /// from the caller-provided state) and evaluates every combinational cell in
 /// topological order over the [`CompiledProgram`]. A single stuck-at fault
-/// can be injected; nets listed in `forced` keep their caller-provided value
-/// regardless of their driver.
+/// can be injected. Nothing is forced: mission forces belong to the proof
+/// frame, which drives the [`CompiledProgram`] itself.
 #[derive(Debug)]
 pub struct CombSim<'a> {
     netlist: &'a Netlist,
@@ -47,54 +47,19 @@ impl<'a> CombSim<'a> {
         self.netlist
     }
 
-    /// The compiled simulation program this simulator evaluates — shared
-    /// with callers that drive clipped propagation themselves (PODEM's
-    /// cone-clipped search).
-    pub fn program(&self) -> &CompiledProgram {
-        &self.program
-    }
-
     /// Creates an all-`X` value array sized for this design.
     pub fn blank_values(&self) -> NetValues {
         vec![Logic::X; self.netlist.num_nets()]
     }
 
-    /// Creates a reusable scratch for [`propagate_with`](Self::propagate_with).
-    pub fn scratch(&self) -> SimScratch {
-        self.program.sim_scratch()
-    }
-
     /// Propagates values through the combinational logic.
     ///
-    /// On entry `values` must hold the desired values of primary-input nets,
-    /// flip-flop output nets and any forced nets; every other net is
-    /// recomputed. `forced` nets are never overwritten. `fault` optionally
-    /// injects one stuck-at fault.
-    ///
-    /// Allocates a transient scratch; hot callers should hold a
-    /// [`SimScratch`] and use [`propagate_with`](Self::propagate_with).
-    pub fn propagate(
-        &self,
-        values: &mut NetValues,
-        forced: &HashMap<NetId, Logic>,
-        fault: Option<StuckAt>,
-    ) {
-        let mut scratch = SimScratch::default();
-        self.propagate_with(values, forced, fault, &mut scratch);
-    }
-
-    /// [`propagate`](Self::propagate) with a caller-held scratch: the
-    /// allocation-free form used by the hot paths (PODEM, constant
-    /// propagation, repeated sequential stepping).
-    pub fn propagate_with(
-        &self,
-        values: &mut NetValues,
-        forced: &HashMap<NetId, Logic>,
-        fault: Option<StuckAt>,
-        scratch: &mut SimScratch,
-    ) {
+    /// On entry `values` must hold the desired values of primary-input nets
+    /// and flip-flop output nets; every other net is recomputed. `fault`
+    /// optionally injects one stuck-at fault.
+    pub fn propagate(&self, values: &mut NetValues, fault: Option<StuckAt>) {
         self.program
-            .propagate_scalar(self.netlist, values, forced, fault, scratch);
+            .propagate_scalar(self.netlist, values, &[], fault);
     }
 
     /// The value observed at a primary output pseudo-cell, taking a fault on
@@ -144,11 +109,6 @@ impl<'a> SeqSim<'a> {
         Ok(SeqSim { comb, flops })
     }
 
-    /// The underlying combinational simulator.
-    pub fn comb(&self) -> &CombSim<'a> {
-        &self.comb
-    }
-
     /// The flip-flops of the design, in a fixed order.
     pub fn flops(&self) -> &[CellId] {
         &self.flops
@@ -163,29 +123,12 @@ impl<'a> SeqSim<'a> {
     /// primary-input *net*), propagates the combinational logic, computes the
     /// next state and returns the full net-value array of the cycle.
     ///
-    /// `state` is updated in place to the next state. Allocates a transient
-    /// scratch; multi-cycle callers should hold a [`SimScratch`] and use
-    /// [`step_with`](Self::step_with).
+    /// `state` is updated in place to the next state.
     pub fn step(
         &self,
         state: &mut FfState,
         pi_values: &HashMap<NetId, Logic>,
-        forced: &HashMap<NetId, Logic>,
         fault: Option<StuckAt>,
-    ) -> NetValues {
-        let mut scratch = SimScratch::default();
-        self.step_with(state, pi_values, forced, fault, &mut scratch)
-    }
-
-    /// [`step`](Self::step) with a caller-held propagation scratch, for
-    /// multi-cycle runs.
-    pub fn step_with(
-        &self,
-        state: &mut FfState,
-        pi_values: &HashMap<NetId, Logic>,
-        forced: &HashMap<NetId, Logic>,
-        fault: Option<StuckAt>,
-        scratch: &mut SimScratch,
     ) -> NetValues {
         let netlist = self.comb.netlist();
         let mut values = self.comb.blank_values();
@@ -197,8 +140,7 @@ impl<'a> SeqSim<'a> {
                 values[q.index()] = state[ff.index()];
             }
         }
-        self.comb
-            .propagate_with(&mut values, forced, fault, scratch);
+        self.comb.propagate(&mut values, fault);
 
         // Next-state computation.
         let mut next: Vec<(CellId, Logic)> = Vec::with_capacity(self.flops.len());
@@ -260,11 +202,9 @@ impl<'a> SeqSim<'a> {
         let netlist = self.comb.netlist();
         let outputs = netlist.primary_outputs();
         let mut state = self.uniform_state(Logic::Zero);
-        let forced = HashMap::new();
-        let mut scratch = self.comb.scratch();
         let mut observed = Vec::with_capacity(vectors.len());
         for vector in vectors {
-            let values = self.step_with(&mut state, vector, &forced, fault, &mut scratch);
+            let values = self.step(&mut state, vector, fault);
             observed.push(
                 outputs
                     .iter()
@@ -301,7 +241,7 @@ mod tests {
         let mut values = sim.blank_values();
         values[a.index()] = Logic::One;
         values[c.index()] = Logic::One;
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         assert_eq!(values[y.index()], Logic::One);
         assert_eq!(values[z.index()], Logic::Zero);
     }
@@ -317,10 +257,10 @@ mod tests {
         let sim = CombSim::new(&n).unwrap();
         let mut values = sim.blank_values();
         values[a.index()] = Logic::Zero;
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         assert_eq!(values[y.index()], Logic::X);
         values[c.index()] = Logic::One;
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         assert_eq!(values[y.index()], Logic::One);
     }
 
@@ -337,11 +277,7 @@ mod tests {
         let mut values = sim.blank_values();
         values[a.index()] = Logic::One;
         values[c.index()] = Logic::One;
-        sim.propagate(
-            &mut values,
-            &HashMap::new(),
-            Some(StuckAt::output(and, false)),
-        );
+        sim.propagate(&mut values, Some(StuckAt::output(and, false)));
         assert_eq!(values[y.index()], Logic::Zero);
     }
 
@@ -358,30 +294,9 @@ mod tests {
         let sim = CombSim::new(&n).unwrap();
         let mut values = sim.blank_values();
         values[a.index()] = Logic::One;
-        sim.propagate(
-            &mut values,
-            &HashMap::new(),
-            Some(StuckAt::input(buf1, 0, false)),
-        );
+        sim.propagate(&mut values, Some(StuckAt::input(buf1, 0, false)));
         assert_eq!(values[y1.index()], Logic::Zero, "faulty branch");
         assert_eq!(values[y2.index()], Logic::One, "healthy branch");
-    }
-
-    #[test]
-    fn forced_nets_are_not_overwritten() {
-        let mut b = NetlistBuilder::new("t");
-        let a = b.input("a");
-        let y = b.not(a);
-        b.output("y", y);
-        let n = b.finish();
-        let sim = CombSim::new(&n).unwrap();
-        let mut values = sim.blank_values();
-        values[a.index()] = Logic::One;
-        let mut forced = HashMap::new();
-        forced.insert(y, Logic::One);
-        values[y.index()] = Logic::One;
-        sim.propagate(&mut values, &forced, None);
-        assert_eq!(values[y.index()], Logic::One);
     }
 
     #[test]
@@ -394,7 +309,7 @@ mod tests {
         let sim = CombSim::new(&n).unwrap();
         let mut values = sim.blank_values();
         values[a.index()] = Logic::Zero;
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         assert_eq!(sim.observed_value(&values, po, None), Logic::Zero);
         let f = StuckAt::input(po, 0, true);
         assert_eq!(sim.observed_value(&values, po, Some(f)), Logic::One);
@@ -448,12 +363,10 @@ mod tests {
         let n = b.finish();
         let sim = SeqSim::new(&n).unwrap();
         let mut state = sim.uniform_state(Logic::Zero);
-        let forced = HashMap::new();
         // SE=1: capture SI.
         sim.step(
             &mut state,
             &pi_map(&[(d, false), (si, true), (se, true), (ck, true)]),
-            &forced,
             None,
         );
         let ff = n.sequential_cells()[0];
@@ -462,7 +375,6 @@ mod tests {
         sim.step(
             &mut state,
             &pi_map(&[(d, false), (si, true), (se, false), (ck, true)]),
-            &forced,
             None,
         );
         assert_eq!(state[ff.index()], Logic::Zero);
@@ -480,12 +392,10 @@ mod tests {
         let sim = SeqSim::new(&n).unwrap();
         let ff = n.sequential_cells()[0];
         let mut state = sim.uniform_state(Logic::One);
-        let forced = HashMap::new();
         // Reset asserted (active low, rstn=0): state goes to 0 even with d=1.
         sim.step(
             &mut state,
             &pi_map(&[(d, true), (ck, true), (rst, false)]),
-            &forced,
             None,
         );
         assert_eq!(state[ff.index()], Logic::Zero);
@@ -493,7 +403,6 @@ mod tests {
         sim.step(
             &mut state,
             &pi_map(&[(d, true), (ck, true), (rst, true)]),
-            &forced,
             None,
         );
         assert_eq!(state[ff.index()], Logic::One);

@@ -112,7 +112,7 @@ fn eval_all(netlist: &Netlist, assignment: &HashMap<NetId, Logic>) -> Vec<Logic>
     for (&net, &v) in assignment {
         values[net.index()] = v;
     }
-    sim.propagate(&mut values, &HashMap::new(), None);
+    sim.propagate(&mut values, None);
     values
 }
 
@@ -204,8 +204,8 @@ proptest! {
                     good[net.index()] = v;
                     bad[net.index()] = v;
                 }
-                comb.propagate(&mut good, &HashMap::new(), None);
-                comb.propagate(&mut bad, &HashMap::new(), Some(fault));
+                comb.propagate(&mut good, None);
+                comb.propagate(&mut bad, Some(fault));
                 for po in netlist.primary_outputs() {
                     let g = comb.observed_value(&good, po, None);
                     let f = comb.observed_value(&bad, po, Some(fault));

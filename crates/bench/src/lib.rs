@@ -200,36 +200,30 @@ impl ProofCampaign {
         self.faults.len()
     }
 
-    /// Runs the proof stage once with the committed portfolio configuration
-    /// (cone clipping, SCOAP guidance, X-path pruning, collapse scheduling,
-    /// PODEM aborts escalated to the SAT backend at the default conflict
-    /// budget), timing only the proof run itself.
+    /// Runs the proof stage once with the flow bench's portfolio
+    /// configuration, [`quick_pipeline_config`]'s (cone clipping, SCOAP
+    /// guidance, X-path pruning, collapse scheduling, PODEM aborts escalated
+    /// to the SAT backend at the default conflict budget), timing only the
+    /// proof run itself.
     pub fn run(&self) -> ProofResult {
         let start = Instant::now();
-        let outcomes = self.prove(&ProofConfig {
-            backtrack_limit: 16,
-            threads: 1,
-            use_sat: true,
-            ..ProofConfig::default()
-        });
+        let outcomes = self.prove(&quick_pipeline_config().proof);
         ProofResult {
             wall_clock: start.elapsed(),
             proven: EngineBreakdown::from_outcomes(&outcomes).proven_total(),
         }
     }
 
-    /// The SAT escalation's worklist: the faults the committed PODEM
-    /// configuration aborts on, with the escalation itself off. Computed
-    /// outside any measured region. The measured replays take the first
-    /// [`SAT_STAGE_SLICE`] of them, which bounds the measured region of a
-    /// smoke gate; the `sat_throughput` bench replays the full worklist
+    /// The SAT escalation's worklist: the faults the PODEM configuration of
+    /// [`quick_pipeline_config`] aborts on, with the escalation itself off.
+    /// Computed outside any measured region. The measured replays take the
+    /// first [`SAT_STAGE_SLICE`] of them, which bounds the measured region
+    /// of a smoke gate; the `sat_throughput` bench replays the full worklist
     /// once, outside its measured loop.
     pub fn sat_escalation_worklist(&self) -> Vec<StuckAt> {
         let outcomes = self.prove(&ProofConfig {
-            backtrack_limit: 16,
-            threads: 1,
             use_sat: false,
-            ..ProofConfig::default()
+            ..quick_pipeline_config().proof
         });
         self.faults
             .iter()

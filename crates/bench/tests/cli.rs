@@ -1,8 +1,9 @@
 //! End-to-end tests of the `untestable` driver binary: clean one-line
 //! diagnostics (exit 1) on bad inputs, the distinct exit status (2) when a
 //! proof-stage deadline leaves faults unresolved, and the
-//! checkpoint/resume flags.
+//! checkpoint/resume flags, and the defaults `--help` states.
 
+use online_untestable::flow::FlowConfig;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -317,4 +318,48 @@ fn client_misuse_is_rejected_with_usage() {
         "{}",
         stderr_line(&output)
     );
+}
+
+/// The default `help` states in `flag`'s entry: the text after `(default`
+/// up to the closing parenthesis or a semicolon.
+fn stated_default(help: &str, flag: &str) -> String {
+    let mut lines = help
+        .lines()
+        .skip_while(|line| !line.trim_start().starts_with(&format!("{flag} ")));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("`{flag}` is not in the help text"));
+    let continuation =
+        lines.take_while(|line| line.starts_with("   ") && !line.trim_start().starts_with('-'));
+    let entry: Vec<&str> = std::iter::once(first)
+        .chain(continuation)
+        .map(str::trim)
+        .collect();
+    let entry = entry.join(" ");
+    let (_, default) = entry
+        .split_once("(default")
+        .unwrap_or_else(|| panic!("`{flag}` states no default: {entry}"));
+    let default = default.trim_start_matches(':').trim_start();
+    default[..default.find([')', ';']).expect("closed default")].to_string()
+}
+
+#[test]
+fn help_states_the_defaults_of_the_proof_config() {
+    let output = untestable(&["--help"]);
+    assert_eq!(output.status.code(), Some(0));
+    let help = String::from_utf8(output.stdout).unwrap();
+    // The flags write into the proof stage of the full pipeline.
+    let proof = FlowConfig::full_pipeline().proof;
+    assert_eq!(
+        stated_default(&help, "--backtrack"),
+        proof.backtrack_limit.to_string()
+    );
+    assert_eq!(
+        stated_default(&help, "--sat-conflicts"),
+        proof.sat_conflict_limit.to_string()
+    );
+    assert_eq!(stated_default(&help, "--threads"), "all cores");
+    assert_eq!(proof.threads, 0, "0 threads means all cores");
+    assert_eq!(stated_default(&help, "--max-proof"), "all");
+    assert_eq!(proof.max_faults, None);
 }

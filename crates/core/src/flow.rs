@@ -1057,7 +1057,7 @@ mod tests {
         for (net, value) in soc.mission_tied_inputs() {
             assert_eq!(
                 constraints.forced_nets.get(&net).copied(),
-                Some(atpg::Logic::from_bool(value)),
+                Some(value),
                 "net {} missing from the mission constraints",
                 soc.netlist.net(net).name()
             );

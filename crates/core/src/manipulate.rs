@@ -26,7 +26,7 @@ pub fn apply(netlist: &Netlist, constraints: &ConstraintSet) -> Netlist {
     let mut ties: Vec<(NetId, bool)> = constraints
         .forced_nets
         .iter()
-        .filter_map(|(&net, value)| value.to_bool().map(|value| (net, value)))
+        .map(|(&net, &value)| (net, value))
         .collect();
     ties.sort_unstable();
     for (net, value) in ties {

@@ -82,8 +82,6 @@ pub fn analyze_toggles(
     let mut saw_one = vec![false; netlist.num_nets()];
     let mut cycles = 0usize;
     let pi_nets = netlist.primary_input_nets();
-    let forced = HashMap::new();
-    let mut scratch = sim.comb().scratch();
 
     for sequence in sequences {
         let mut state = sim.uniform_state(Logic::Zero);
@@ -93,7 +91,7 @@ pub fn analyze_toggles(
                 let value = vector.get(&pi).copied().unwrap_or(false);
                 assignment.insert(pi, Logic::from_bool(value));
             }
-            let values = sim.step_with(&mut state, &assignment, &forced, None, &mut scratch);
+            let values = sim.step(&mut state, &assignment, None);
             for net in netlist.net_ids() {
                 match values[net.index()] {
                     Logic::Zero => saw_zero[net.index()] = true,

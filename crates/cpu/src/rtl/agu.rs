@@ -83,7 +83,6 @@ mod tests {
     use super::*;
     use atpg::{CombSim, Logic};
     use netlist::Netlist;
-    use std::collections::HashMap;
 
     struct Harness {
         netlist: Netlist,
@@ -127,7 +126,7 @@ mod tests {
         set(&h.base, base as u64, &mut values);
         set(&h.imm, imm as u64, &mut values);
         set(&h.target, target as u64, &mut values);
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         let get = |word: &[NetId]| -> u32 {
             word.iter()
                 .enumerate()

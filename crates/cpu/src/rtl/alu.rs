@@ -93,7 +93,6 @@ mod tests {
     use super::*;
     use atpg::{CombSim, Logic};
     use netlist::Netlist;
-    use std::collections::HashMap;
 
     struct Harness {
         netlist: Netlist,
@@ -150,7 +149,7 @@ mod tests {
         for (i, &net) in h.controls.iter().enumerate() {
             values[net.index()] = Logic::from_bool(Some(i) == op);
         }
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         let result: u32 = h
             .result
             .iter()

@@ -167,7 +167,7 @@ mod tests {
         for (i, &net) in h.target.iter().enumerate() {
             v.insert(net, Logic::from_bool((target >> i) & 1 == 1));
         }
-        sim.step(state, &v, &HashMap::new(), None)
+        sim.step(state, &v, None)
     }
 
     fn word_value(values: &[Logic], word: &[NetId]) -> u32 {

@@ -202,7 +202,6 @@ mod tests {
     use crate::isa::Instr;
     use atpg::{CombSim, Logic};
     use netlist::Netlist;
-    use std::collections::HashMap;
 
     struct Harness {
         netlist: Netlist,
@@ -231,7 +230,7 @@ mod tests {
         for (i, &net) in h.instr.iter().enumerate() {
             values[net.index()] = Logic::from_bool((word >> i) & 1 == 1);
         }
-        sim.propagate(&mut values, &HashMap::new(), None);
+        sim.propagate(&mut values, None);
         let nets = [
             h.controls.is_rtype,
             h.controls.reg_write,

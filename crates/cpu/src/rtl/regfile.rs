@@ -156,7 +156,7 @@ mod tests {
         set_word(&mut v, &h.wdata, 0xCAFE);
         set_word(&mut v, &h.rs, 0);
         set_word(&mut v, &h.rt, 0);
-        sim.step(&mut state, &v, &HashMap::new(), None);
+        sim.step(&mut state, &v, None);
         // Read r5 on port A, r0 on port B.
         let mut v2 = HashMap::new();
         v2.insert(h.clock, Logic::One);
@@ -165,7 +165,7 @@ mod tests {
         set_word(&mut v2, &h.wdata, 0);
         set_word(&mut v2, &h.rs, 5);
         set_word(&mut v2, &h.rt, 0);
-        let values = sim.step(&mut state, &v2, &HashMap::new(), None);
+        let values = sim.step(&mut state, &v2, None);
         assert_eq!(get_word(&values, &h.read_a), 0xCAFE);
         assert_eq!(get_word(&values, &h.read_b), 0);
     }
@@ -182,8 +182,8 @@ mod tests {
         set_word(&mut v, &h.wdata, 0xFFFF_FFFF);
         set_word(&mut v, &h.rs, 0);
         set_word(&mut v, &h.rt, 0);
-        sim.step(&mut state, &v, &HashMap::new(), None);
-        let values = sim.step(&mut state, &v, &HashMap::new(), None);
+        sim.step(&mut state, &v, None);
+        let values = sim.step(&mut state, &v, None);
         assert_eq!(get_word(&values, &h.read_a), 0);
     }
 
@@ -199,8 +199,8 @@ mod tests {
         set_word(&mut v, &h.wdata, 0x1234);
         set_word(&mut v, &h.rs, 3);
         set_word(&mut v, &h.rt, 3);
-        sim.step(&mut state, &v, &HashMap::new(), None);
-        let values = sim.step(&mut state, &v, &HashMap::new(), None);
+        sim.step(&mut state, &v, None);
+        let values = sim.step(&mut state, &v, None);
         assert_eq!(get_word(&values, &h.read_a), 0, "write was disabled");
     }
 
@@ -217,8 +217,8 @@ mod tests {
         set_word(&mut v, &h.wdata, 0xFF);
         set_word(&mut v, &h.rs, 20);
         set_word(&mut v, &h.rt, 1);
-        sim.step(&mut state, &v, &HashMap::new(), None);
-        let values = sim.step(&mut state, &v, &HashMap::new(), None);
+        sim.step(&mut state, &v, None);
+        let values = sim.step(&mut state, &v, None);
         assert_eq!(get_word(&values, &h.read_a), 0);
     }
 

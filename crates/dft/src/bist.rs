@@ -169,7 +169,7 @@ mod tests {
             let mut v: HashMap<NetId, Logic> = HashMap::new();
             v.insert(block.enable, Logic::from_bool(en));
             v.insert(ck, Logic::One);
-            sim.step(state, &v, &HashMap::new(), None);
+            sim.step(state, &v, None);
         };
         // Disabled: state stays at 0.
         step(&mut state, false, &sim);
@@ -218,7 +218,7 @@ mod tests {
                 for (i, &net) in data.iter().enumerate() {
                     v.insert(net, Logic::from_bool((word >> i) & 1 == 1));
                 }
-                sim.step(&mut state, &v, &HashMap::new(), None);
+                sim.step(&mut state, &v, None);
             }
             lfsr_state(&n, &state, &block.misr)
         };

@@ -292,7 +292,7 @@ mod tests {
             v.insert(port.tdi, Logic::Zero);
             v.insert(port.trst_n, Logic::from_bool(trst));
             v.insert(ck, Logic::One);
-            sim.step(state, &v, &HashMap::new(), None)
+            sim.step(state, &v, None)
         };
         // Two cycles of reset.
         step(&mut state, true, false, &sim);
@@ -324,7 +324,7 @@ mod tests {
             v.insert(port.tdi, Logic::from_bool(tdi));
             v.insert(port.trst_n, Logic::One);
             v.insert(ck, Logic::One);
-            sim.step(state, &v, &HashMap::new(), None);
+            sim.step(state, &v, None);
         };
         // Reach Shift-DR: TMS = 1(Select-DR from Idle after reset) ...
         // First force reset state with TRST.
@@ -334,7 +334,7 @@ mod tests {
             v.insert(port.tdi, Logic::Zero);
             v.insert(port.trst_n, Logic::Zero);
             v.insert(ck, Logic::One);
-            sim.step(&mut state, &v, &HashMap::new(), None);
+            sim.step(&mut state, &v, None);
         }
         for tms in [false, true, false, false] {
             step(&mut state, tms, false, &sim);

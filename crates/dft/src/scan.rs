@@ -315,7 +315,7 @@ mod tests {
             for d in n.primary_input_nets() {
                 v.entry(d).or_insert(Logic::Zero);
             }
-            sim.step(&mut state, &v, &HashMap::new(), None);
+            sim.step(&mut state, &v, None);
         }
         // After three shifts the first value (1) reached the last flop.
         let last = *chain.cells.last().unwrap();
