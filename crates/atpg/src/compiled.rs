@@ -512,6 +512,57 @@ impl CompiledProgram {
         self.out[g]
     }
 
+    /// Evaluation of compiled gate `g` over `values` with `fault` injected
+    /// when it sits on one of the gate's pins or on its output, without
+    /// writing the result — the inner step of event-driven faulty-machine
+    /// updates (cone-clipped PODEM re-evaluates only the cone gates whose
+    /// inputs changed).
+    #[inline]
+    pub fn eval_gate_faulty(&self, g: usize, values: &[Logic], fault: StuckAt) -> Logic {
+        let (fault_cell, fault_pin, fault_value, fault_on_output) = decompose_fault(Some(fault));
+        self.gate_value(
+            g,
+            values,
+            fault_cell,
+            fault_pin,
+            fault_value,
+            fault_on_output,
+        )
+    }
+
+    /// The value of compiled gate `g` over `values` with a decomposed
+    /// stuck-at fault injected — the shared core of
+    /// [`eval_gate_faulty`](Self::eval_gate_faulty) and the scalar
+    /// propagations' gate loop.
+    #[inline(always)]
+    fn gate_value(
+        &self,
+        g: usize,
+        values: &[Logic],
+        fault_cell: u32,
+        fault_pin: u32,
+        fault_value: Logic,
+        fault_on_output: bool,
+    ) -> Logic {
+        let cell = self.gate_cell[g];
+        if cell == fault_cell && fault_on_output {
+            return fault_value;
+        }
+        let faulty_pin = if cell == fault_cell {
+            fault_pin
+        } else {
+            NO_INDEX
+        };
+        let start = self.in_start[g] as usize;
+        self.compute_gate(g, |k| {
+            if k as u32 == faulty_pin {
+                fault_value
+            } else {
+                values[self.pins[start + k] as usize]
+            }
+        })
+    }
+
     /// Evaluates one compiled gate into `values`, honouring an injected
     /// stuck-at fault and the forced-net bitmap — the shared inner step of
     /// the full and cone-clipped scalar propagations.
@@ -527,29 +578,17 @@ impl CompiledProgram {
         fault_value: Logic,
         fault_on_output: bool,
     ) {
-        let start = self.in_start[g] as usize;
-        let cell = self.gate_cell[g];
-        let faulty_pin = if cell == fault_cell && !fault_on_output {
-            fault_pin
-        } else {
-            NO_INDEX
-        };
-        let mut out_value = {
-            let values = &*values;
-            self.compute_gate(g, |k| {
-                if k as u32 == faulty_pin {
-                    fault_value
-                } else {
-                    values[self.pins[start + k] as usize]
-                }
-            })
-        };
-        if fault_on_output && cell == fault_cell {
-            out_value = fault_value;
-        }
+        let value = self.gate_value(
+            g,
+            values,
+            fault_cell,
+            fault_pin,
+            fault_value,
+            fault_on_output,
+        );
         let out = self.out[g] as usize;
         if !is_forced(forced, out) {
-            values[out] = out_value;
+            values[out] = value;
         }
     }
 }

@@ -12,13 +12,17 @@
 //! * **Cone clipping** ([`PodemConfig::cone_clip`]): per fault the engine
 //!   extracts the site's fanout cone ([`netlist::graph::ConeExtractor`]) —
 //!   the only region where the faulty machine can differ from the good one —
-//!   and runs faulty simulation, D-frontier scanning and detection over that
-//!   usually tiny set, while the good machine is maintained *incrementally*:
-//!   each decision re-evaluates only the gates its assignment actually
-//!   reaches (event-driven, in topological order), and retraction restores
-//!   the baseline for the next fault. Clipping changes no decision: the
-//!   clipped engine's outcomes and backtrack counts are bit-identical to the
-//!   full engine's.
+//!   and runs D-frontier scanning and detection over that usually tiny set.
+//!   Both machines are maintained *incrementally*: each decision
+//!   re-evaluates only the gates its assignment actually reaches
+//!   (event-driven, in topological order) — every gate in the good machine,
+//!   the cone's gates in the faulty one — and each machine logs every write
+//!   on its own undo trail. A backtrack pops the trails back to the
+//!   decision's marks and the end of a fault pops them to empty, so neither
+//!   machine is ever re-simulated. Clipping changes no decision:
+//!   three-valued simulation of a DAG has one fixpoint, so the clipped
+//!   engine's outcomes and backtrack counts are bit-identical to the full
+//!   engine's, which re-simulates both machines every step.
 //! * **SCOAP guidance** ([`PodemConfig::scoap_guidance`]): constraint-aware
 //!   CC0/CC1/CO measures ([`crate::scoap`]) steer objective selection toward
 //!   the most observable D-frontier gate and steer backtrace toward cheap
@@ -42,7 +46,8 @@ use crate::scoap::{compute_scoap, Scoap};
 use crate::sim::NetValues;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Configuration of the PODEM engine.
 #[derive(Clone, Copy, Debug)]
@@ -50,8 +55,8 @@ pub struct PodemConfig {
     /// Maximum number of backtracks before giving up on a fault.
     pub backtrack_limit: usize,
     /// Clip each fault's search to its cones: faulty simulation, D-frontier
-    /// scanning and detection run over the site's fanout cone only, and the
-    /// good machine is maintained incrementally instead of re-simulated.
+    /// scanning and detection run over the site's fanout cone only, and both
+    /// machines are maintained incrementally instead of re-simulated.
     /// Identical decisions, far less work per decision.
     pub cone_clip: bool,
     /// Steer objective selection and backtrace with constraint-aware SCOAP
@@ -123,14 +128,18 @@ pub enum ProofOutcome {
 ///
 /// * the **good machine** is global and *incremental*: initialised once per
 ///   engine (ties and forced nets applied, everything else X) and updated by
-///   an event queue — each new assignment re-evaluates only the gates its
-///   change actually reaches, and retracting the assignments at the end of a
-///   fault restores the baseline, so no per-fault or per-decision whole-design
-///   walk exists at all;
+///   events — each new assignment re-evaluates only the gates its change
+///   actually reaches, and every write is logged on the good machine's trail
+///   (see [`Machine`]), which the end of a fault pops to empty, restoring the
+///   baseline — so no per-fault or per-decision whole-design walk exists at
+///   all;
 /// * the **fanout cone** of the site (stopping at the sequential / output
 ///   boundary) is the only region where the faulty machine can differ from
-///   the good one, so faulty simulation, D-frontier scanning and detection
-///   checks all run over this usually tiny set.
+///   the good one, so the faulty machine is simulated over the cone once per
+///   fault and then updated by events too: a good-machine write to a net the
+///   cone merely reads is mirrored into it, and only the cone gates whose
+///   inputs changed are re-evaluated. D-frontier scanning and detection
+///   checks run over the same usually tiny set.
 #[derive(Debug)]
 struct ClipEngine {
     extractor: graph::ConeExtractor,
@@ -141,34 +150,48 @@ struct ClipEngine {
     /// Gate-program indices of `fanout_cells`, ascending — the faulty
     /// machine's evaluation program.
     fanout_gates: Vec<u32>,
+    /// Dense membership bitmap over `fanout_gates`, indexed by gate.
+    in_cone: Vec<bool>,
     /// The fanout neighbourhood: the site net plus every net a fanout-cone
     /// cell reads or writes — the nets whose faulty value can differ from
-    /// the good value, synced into the faulty buffer each iteration.
+    /// the good value, synced into the faulty machine once per fault.
     neighborhood: Vec<u32>,
     /// Dense membership bitmap over `neighborhood` (cleared incrementally).
     net_in_neighborhood: Vec<bool>,
+    /// The neighbourhood nets whose faulty value is their good value: every
+    /// one no cone gate drives, except a site net the fault pins to its
+    /// stuck value. A good-machine write to one is mirrored into the faulty
+    /// machine.
+    follows: Vec<bool>,
     /// Observation nets inside the neighbourhood — the only observation
     /// points a fault effect can ever reach.
     obs_nets: Vec<NetId>,
 }
 
 impl ClipEngine {
-    fn new(netlist: &Netlist) -> Self {
+    fn new(frame: &Frame<'_>) -> Self {
+        let netlist = frame.netlist();
         ClipEngine {
             extractor: graph::ConeExtractor::new(netlist),
             fanout_cells: Vec::new(),
             fanout_gates: Vec::new(),
+            in_cone: vec![false; frame.program().num_gates()],
             neighborhood: Vec::new(),
             net_in_neighborhood: vec![false; netlist.num_nets()],
+            follows: vec![false; netlist.num_nets()],
             obs_nets: Vec::new(),
         }
     }
 
-    /// Extracts the fanout cone of `site_net` and lowers it into the clipped
-    /// faulty-machine views.
-    fn prepare(&mut self, frame: &Frame<'_>, site_net: NetId) {
+    /// Extracts the fanout cone of `fault`'s site net and lowers it into the
+    /// clipped faulty-machine views.
+    fn prepare(&mut self, frame: &Frame<'_>, fault: StuckAt, site_net: NetId) {
         for &n in &self.neighborhood {
             self.net_in_neighborhood[n as usize] = false;
+            self.follows[n as usize] = false;
+        }
+        for &g in &self.fanout_gates {
+            self.in_cone[g as usize] = false;
         }
         self.fanout_cells.clear();
         self.fanout_gates.clear();
@@ -209,6 +232,16 @@ impl ClipEngine {
         // Gate indices are topological; the sorted subset is a valid
         // evaluation order.
         self.fanout_gates.sort_unstable();
+        for &n in &self.neighborhood {
+            self.follows[n as usize] = true;
+        }
+        for &g in &self.fanout_gates {
+            self.in_cone[g as usize] = true;
+            self.follows[frame.program().gate_output(g as usize) as usize] = false;
+        }
+        if pins_site(frame, fault, site_net) {
+            self.follows[site_net.index()] = false;
+        }
         for &net in frame.observation_nets() {
             if self.net_in_neighborhood[net.index()] {
                 self.obs_nets.push(net);
@@ -217,31 +250,167 @@ impl ClipEngine {
     }
 }
 
-/// Reusable per-engine search scratch: the event queue of the incremental
-/// good-machine updates — a min-heap of dirty gate-program indices
-/// (topological, so each gate settles in a single visit per wave) plus the
-/// dirty bitmap that dedupes insertions — and the visited set of the X-path
-/// reachability check.
+/// Whether `fault` pins its site net's faulty value to the stuck value, as
+/// the full engine's propagation does: an output-pin fault on a source
+/// always (the source's net is overridden), one on a gate unless the net is
+/// forced (gate writes respect forced nets). A branch fault leaves the net
+/// alone.
+fn pins_site(frame: &Frame<'_>, fault: StuckAt, site_net: NetId) -> bool {
+    match fault.site {
+        FaultSite::CellOutput { cell } => {
+            !frame.netlist().cell(cell).kind().is_combinational()
+                || !frame.forced_mask()[site_net.index()]
+        }
+        FaultSite::CellInput { .. } => false,
+    }
+}
+
+/// The compiled fan-out of every net: the gate-program indices of its
+/// loads that compiled to gates (live combinational cells with an output),
+/// in CSR form. Built once per engine, so the event queue and the X-path
+/// walk never consult the netlist's load lists.
+#[derive(Debug)]
+struct LoadGates {
+    /// `gates[start[n]..start[n + 1]]` are net `n`'s load gates.
+    start: Vec<u32>,
+    gates: Vec<u32>,
+}
+
+impl LoadGates {
+    fn new(frame: &Frame<'_>) -> Self {
+        let netlist = frame.netlist();
+        let mut start = Vec::with_capacity(netlist.num_nets() + 1);
+        let mut gates = Vec::new();
+        start.push(0);
+        for net in netlist.net_ids() {
+            gates.extend(
+                netlist
+                    .loads_of(net)
+                    .iter()
+                    .map(|load| frame.gate_of(load.cell))
+                    .filter(|&g| g != NO_INDEX),
+            );
+            start.push(gates.len() as u32);
+        }
+        LoadGates { start, gates }
+    }
+
+    /// The load gates of net index `net`.
+    fn of(&self, net: usize) -> &[u32] {
+        &self.gates[self.start[net] as usize..self.start[net + 1] as usize]
+    }
+}
+
+/// One three-valued machine of the search: its net values and, for the
+/// clipped engine, the events that keep it current and the trail that
+/// undoes it.
+#[derive(Debug, Default)]
+struct Machine {
+    values: NetValues,
+    /// Dirty gate-program indices, a min-heap: indices are topological, so
+    /// each gate settles in a single visit per wave.
+    queue: BinaryHeap<Reverse<u32>>,
+    /// Dedupes `queue` insertions, indexed by gate.
+    dirty: Vec<bool>,
+    /// `(net, previous value)` of every write, oldest first.
+    trail: Vec<(u32, Logic)>,
+}
+
+impl Machine {
+    fn new(values: NetValues, num_gates: usize) -> Self {
+        Machine {
+            values,
+            dirty: vec![false; num_gates],
+            ..Machine::default()
+        }
+    }
+
+    /// Sets net `net` to `value`, logging the old value on the trail.
+    fn write(&mut self, net: usize, value: Logic) {
+        self.trail.push((net as u32, self.values[net]));
+        self.values[net] = value;
+    }
+
+    /// Queues gate `g` for re-evaluation.
+    fn schedule(&mut self, g: u32) {
+        if !self.dirty[g as usize] {
+            self.dirty[g as usize] = true;
+            self.queue.push(Reverse(g));
+        }
+    }
+
+    /// The lowest queued gate, dequeued.
+    fn next(&mut self) -> Option<usize> {
+        let Reverse(g) = self.queue.pop()?;
+        self.dirty[g as usize] = false;
+        Some(g as usize)
+    }
+
+    /// Pops the trail back to `mark`, undoing every write made since,
+    /// newest first. The queue must be empty: a pending event would
+    /// re-apply a write the restore just undid.
+    fn restore(&mut self, mark: usize) {
+        debug_assert!(self.queue.is_empty(), "trail restored with events pending");
+        for (net, old) in self.trail.drain(mark..).rev() {
+            self.values[net as usize] = old;
+        }
+    }
+}
+
+/// One PODEM decision on the stack.
+#[derive(Clone, Copy, Debug)]
+struct Decision {
+    /// The controllable net assigned.
+    net: NetId,
+    /// The value it holds now.
+    value: bool,
+    /// Whether the opposite value was already tried.
+    flipped: bool,
+    /// The good and faulty trail lengths before the assignment: popping the
+    /// trails back to them restores the machines this decision started from.
+    marks: (usize, usize),
+}
+
+/// Reusable per-engine search state, so a search step allocates nothing
+/// once the buffers have grown: the good and faulty [`Machine`]s, the
+/// decision stack and the dense mask of the nets it assigns, the
+/// D-frontier, the X-input pins of one gate, and the visited set and work
+/// stack of the X-path reachability check.
 #[derive(Debug, Default)]
 struct SearchScratch {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
-    dirty: Vec<bool>,
+    good: Machine,
+    faulty: Machine,
+    decisions: Vec<Decision>,
+    assigned: Vec<bool>,
+    frontier: Vec<CellId>,
+    x_inputs: Vec<usize>,
     visited: Vec<bool>,
     touched: Vec<u32>,
     stack: Vec<u32>,
 }
 
+impl SearchScratch {
+    /// The current trail lengths of the good and faulty machines.
+    fn marks(&self) -> (usize, usize) {
+        (self.good.trail.len(), self.faulty.trail.len())
+    }
+
+    /// Pops both trails back to `marks`.
+    fn restore(&mut self, (good, faulty): (usize, usize)) {
+        self.good.restore(good);
+        self.faulty.restore(faulty);
+    }
+}
+
 /// The PODEM test generator.
 ///
-/// The engine owns reusable good/faulty value buffers, so repeated
-/// [`generate`](Self::generate) calls allocate nothing on the simulation
-/// path (which is why `generate` takes `&mut self`).
+/// The engine owns its reusable search state, good and faulty machines
+/// included, so repeated [`generate`](Self::generate) calls allocate nothing
+/// once the buffers have grown (which is why `generate` takes `&mut self`).
 #[derive(Debug)]
 pub struct Podem<'a> {
     frame: Frame<'a>,
     config: PodemConfig,
-    good_buf: NetValues,
-    faulty_buf: NetValues,
     last_backtracks: usize,
     /// Cooperative interrupt flag polled once per search step; `true` aborts
     /// the current search.
@@ -253,6 +422,7 @@ pub struct Podem<'a> {
     last_interrupted: bool,
     scoap: Option<Scoap>,
     clip: Option<ClipEngine>,
+    load_gates: LoadGates,
     search: SearchScratch,
 }
 
@@ -268,45 +438,41 @@ impl<'a> Podem<'a> {
         config: PodemConfig,
     ) -> Result<Self, graph::CombinationalLoop> {
         let frame = Frame::new(netlist, constraints)?;
-        let mut good_buf = frame.blank_values();
-        let faulty_buf = frame.blank_values();
+        let mut good = frame.blank_values();
         let scoap = if config.scoap_guidance {
             Some(compute_scoap(netlist, constraints)?)
         } else {
             None
         };
-        let clip = config.cone_clip.then(|| ClipEngine::new(netlist));
-        if clip.is_some() {
+        let clip = config.cone_clip.then(|| ClipEngine::new(&frame));
+        // Only the clipped engine propagates events.
+        let num_gates = if clip.is_some() {
             // Baseline of the incremental good machine: ties and forced nets
-            // applied, every free net X. The search applies and retracts its
-            // assignments through the event queue, always returning here.
-            frame.simulate([], None, &mut good_buf);
-        }
-        let search = SearchScratch {
-            heap: std::collections::BinaryHeap::new(),
-            dirty: vec![
-                false;
-                if clip.is_some() {
-                    frame.program().num_gates()
-                } else {
-                    0
-                }
-            ],
-            visited: vec![false; netlist.num_nets()],
-            touched: Vec::new(),
-            stack: Vec::new(),
+            // applied, every free net X. Every search pops its trail back to
+            // here before it returns.
+            frame.simulate([], None, &mut good);
+            frame.program().num_gates()
+        } else {
+            0
         };
+        let search = SearchScratch {
+            good: Machine::new(good, num_gates),
+            faulty: Machine::new(frame.blank_values(), num_gates),
+            assigned: vec![false; netlist.num_nets()],
+            visited: vec![false; netlist.num_nets()],
+            ..SearchScratch::default()
+        };
+        let load_gates = LoadGates::new(&frame);
         Ok(Podem {
             frame,
             config,
-            good_buf,
-            faulty_buf,
             last_backtracks: 0,
             interrupt: None,
             deadline: None,
             last_interrupted: false,
             scoap,
             clip,
+            load_gates,
             search,
         })
     }
@@ -354,57 +520,70 @@ impl<'a> Podem<'a> {
             .is_some_and(|d| std::time::Instant::now() >= d)
     }
 
-    /// Sets a controllable net of the good machine and queues its load gates
-    /// for re-evaluation. Call [`good_flush`](Self::good_flush) before the
-    /// next read.
-    fn good_set(
+    /// Writes `value` to good-machine net `net` and queues its load gates.
+    /// When the faulty value of `net` follows its good value, the write is
+    /// mirrored into the faulty machine, which queues the net's cone loads.
+    fn good_write(&self, clip: &ClipEngine, search: &mut SearchScratch, net: usize, value: Logic) {
+        search.good.write(net, value);
+        for &g in self.load_gates.of(net) {
+            search.good.schedule(g);
+        }
+        if clip.follows[net] {
+            search.faulty.write(net, value);
+            self.schedule_cone_loads(clip, &mut search.faulty, net);
+        }
+    }
+
+    fn schedule_cone_loads(&self, clip: &ClipEngine, faulty: &mut Machine, net: usize) {
+        for &g in self.load_gates.of(net) {
+            if clip.in_cone[g as usize] {
+                faulty.schedule(g);
+            }
+        }
+    }
+
+    /// Assigns the controllable net `net` and propagates the change to
+    /// quiescence: first through every good-machine gate it reaches, then
+    /// through the cone gates whose faulty inputs changed. Gates settle in
+    /// ascending (topological) program order, each at most once per wave, so
+    /// both machines end exactly where a from-scratch propagation would —
+    /// the incremental update changes values, never decisions.
+    fn assign(
         &self,
+        clip: &ClipEngine,
+        fault: StuckAt,
         search: &mut SearchScratch,
-        values: &mut NetValues,
         net: NetId,
-        value: Logic,
+        value: bool,
     ) {
-        if values[net.index()] == value {
-            return;
-        }
-        values[net.index()] = value;
-        self.enqueue_loads(search, net);
-    }
-
-    fn enqueue_loads(&self, search: &mut SearchScratch, net: NetId) {
-        for load in self.frame.netlist().loads_of(net) {
-            let g = self.frame.gate_of(load.cell);
-            if g != NO_INDEX && !search.dirty[g as usize] {
-                search.dirty[g as usize] = true;
-                search.heap.push(std::cmp::Reverse(g));
-            }
-        }
-    }
-
-    /// Propagates queued good-machine events to quiescence. Gates settle in
-    /// ascending (topological) program order, so each is visited at most once
-    /// per wave and the result equals a from-scratch propagation — the
-    /// incremental update changes values, never decisions.
-    fn good_flush(&self, search: &mut SearchScratch, values: &mut NetValues) {
         let program = self.frame.program();
-        while let Some(std::cmp::Reverse(g)) = search.heap.pop() {
-            let gi = g as usize;
-            search.dirty[gi] = false;
-            let new = program.eval_gate_scalar(gi, values);
-            let out = program.gate_output(gi) as usize;
-            if self.frame.forced_mask()[out] || values[out] == new {
-                continue;
+        let forced = self.frame.forced_mask();
+        debug_assert_eq!(search.good.values[net.index()], Logic::X);
+        self.good_write(clip, search, net.index(), Logic::from_bool(value));
+        while let Some(g) = search.good.next() {
+            let new = program.eval_gate_scalar(g, &search.good.values);
+            let out = program.gate_output(g) as usize;
+            if !forced[out] && search.good.values[out] != new {
+                self.good_write(clip, search, out, new);
             }
-            values[out] = new;
-            self.enqueue_loads(search, NetId::from_index(out));
+        }
+        let faulty = &mut search.faulty;
+        while let Some(g) = faulty.next() {
+            let new = program.eval_gate_faulty(g, &faulty.values, fault);
+            let out = program.gate_output(g) as usize;
+            if !forced[out] && faulty.values[out] != new {
+                faulty.write(out, new);
+                self.schedule_cone_loads(clip, faulty, out);
+            }
         }
     }
 
-    /// One faulty-machine evaluation: syncs the fanout neighbourhood from the
-    /// good machine, injects the fault at the site, and re-evaluates only the
-    /// fanout cone's gates — outside the fanout cone the faulty machine
-    /// equals the good machine by construction, exactly as in a full
-    /// propagation.
+    /// The faulty machine at the start of a fault: syncs the fanout
+    /// neighbourhood from the good machine, injects the fault at the site,
+    /// and evaluates only the fanout cone's gates — outside the fanout cone
+    /// the faulty machine equals the good machine by construction, exactly
+    /// as in a full propagation. [`assign`](Self::assign) keeps it current
+    /// from there.
     fn simulate_faulty_clipped(
         &self,
         clip: &ClipEngine,
@@ -416,17 +595,10 @@ impl<'a> Podem<'a> {
         for &n in &clip.neighborhood {
             faulty[n as usize] = good[n as usize];
         }
-        // An output-pin fault forces the site net directly (its driver is
-        // upstream of the fanout cone and never re-evaluated). Combinational
-        // drivers respect forced nets, matching the full engine's gate loop;
-        // source drivers are overridden unconditionally inside
-        // `propagate_scalar_clipped`, also matching the full engine.
-        if let FaultSite::CellOutput { cell } = fault.site {
-            if self.frame.netlist().cell(cell).kind().is_combinational()
-                && !self.frame.forced_mask()[site_net.index()]
-            {
-                faulty[site_net.index()] = Logic::from_bool(fault.value);
-            }
+        // An output-pin fault pins the site net directly: its driver is
+        // upstream of the fanout cone and never re-evaluated.
+        if pins_site(&self.frame, fault, site_net) {
+            faulty[site_net.index()] = Logic::from_bool(fault.value);
         }
         self.frame.program().propagate_scalar_clipped(
             self.frame.netlist(),
@@ -437,10 +609,10 @@ impl<'a> Podem<'a> {
         );
     }
 
-    /// Cells on the D-frontier: the fault effect is present on at least one
-    /// input (either because the driving net carries a difference, or because
-    /// the cell itself hosts an excited branch fault) but the output does not
-    /// yet show a definite difference.
+    /// Fills `frontier` with the cells on the D-frontier: the fault effect
+    /// is present on at least one input (either because the driving net
+    /// carries a difference, or because the cell itself hosts an excited
+    /// branch fault) but the output does not yet show a definite difference.
     ///
     /// With cone clipping the scan covers only the fanout cone's gates — the
     /// only cells that can carry a fault effect — kept in arena order, so the
@@ -451,12 +623,13 @@ impl<'a> Podem<'a> {
         good: &NetValues,
         faulty: &NetValues,
         clip: Option<&ClipEngine>,
-    ) -> Vec<CellId> {
-        let mut frontier = Vec::new();
+        frontier: &mut Vec<CellId>,
+    ) {
+        frontier.clear();
         match clip {
             Some(c) => {
                 for &id in &c.fanout_cells {
-                    self.d_frontier_check(id, fault, good, faulty, &mut frontier);
+                    self.d_frontier_check(id, fault, good, faulty, frontier);
                 }
             }
             None => {
@@ -464,11 +637,10 @@ impl<'a> Podem<'a> {
                     if !cell.kind().is_combinational() {
                         continue;
                     }
-                    self.d_frontier_check(id, fault, good, faulty, &mut frontier);
+                    self.d_frontier_check(id, fault, good, faulty, frontier);
                 }
             }
         }
-        frontier
     }
 
     fn d_frontier_check(
@@ -549,15 +721,17 @@ impl<'a> Podem<'a> {
 
     /// Backtraces an objective `(net, value)` to an unassigned controllable
     /// input. Returns `None` when no X-path to a free input exists.
+    /// `x_inputs` is scratch for the X pins of each gate on the way.
     fn backtrace(
         &self,
         mut net: NetId,
         mut value: bool,
         good: &NetValues,
-        assignments: &HashMap<NetId, Logic>,
+        assigned: &[bool],
+        x_inputs: &mut Vec<usize>,
     ) -> Option<(NetId, bool)> {
         for _ in 0..self.frame.netlist().num_cells() + 1 {
-            if self.frame.is_controllable(net) && !assignments.contains_key(&net) {
+            if self.frame.is_controllable(net) && !assigned[net.index()] {
                 return Some((net, value));
             }
             if self.frame.forced_mask()[net.index()] {
@@ -570,13 +744,14 @@ impl<'a> Podem<'a> {
                 // Reached a flip-flop or port that is not controllable.
                 return None;
             }
-            let x_inputs: Vec<usize> = cell
-                .inputs()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| good[n.index()] == Logic::X)
-                .map(|(i, _)| i)
-                .collect();
+            x_inputs.clear();
+            x_inputs.extend(
+                cell.inputs()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &n)| good[n.index()] == Logic::X)
+                    .map(|(i, _)| i),
+            );
             if x_inputs.is_empty() {
                 return None;
             }
@@ -591,11 +766,11 @@ impl<'a> Podem<'a> {
                     if want == identity {
                         // All inputs must take the identity value: pick the
                         // hardest-to-control X (fail fast under SCOAP).
-                        (self.choose_input(cell, &x_inputs, identity, true), identity)
+                        (self.choose_input(cell, x_inputs, identity, true), identity)
                     } else {
                         // A single controlling input suffices: the cheapest.
                         (
-                            self.choose_input(cell, &x_inputs, !identity, false),
+                            self.choose_input(cell, x_inputs, !identity, false),
                             !identity,
                         )
                     }
@@ -611,7 +786,7 @@ impl<'a> Podem<'a> {
                     // neutral; the chosen input provides the remainder — any
                     // X works, so take the cheapest for the remainder value.
                     let want = value ^ inverting ^ parity_known;
-                    (self.choose_input(cell, &x_inputs, want, false), want)
+                    (self.choose_input(cell, x_inputs, want, false), want)
                 }
                 CellKind::Mux2 => {
                     let s = good[cell.inputs()[2].index()];
@@ -640,16 +815,12 @@ impl<'a> Podem<'a> {
 
     /// Attempts to generate a test for `fault`.
     pub fn generate(&mut self, fault: StuckAt) -> PodemOutcome {
-        // Temporarily move the reusable buffers out of `self` so the borrow
-        // checker lets the read-only engine use them alongside `&self`.
-        let mut good = std::mem::take(&mut self.good_buf);
-        let mut faulty = std::mem::take(&mut self.faulty_buf);
+        // Temporarily move the reusable state out of `self` so the borrow
+        // checker lets the read-only engine use it alongside `&self`.
         let mut clip = self.clip.take();
         let mut search = std::mem::take(&mut self.search);
         let (outcome, backtracks, interrupted) =
-            self.generate_inner(fault, &mut good, &mut faulty, clip.as_mut(), &mut search);
-        self.good_buf = good;
-        self.faulty_buf = faulty;
+            self.generate_inner(fault, clip.as_mut(), &mut search);
         self.clip = clip;
         self.search = search;
         self.last_backtracks = backtracks;
@@ -686,50 +857,48 @@ impl<'a> Podem<'a> {
         frontier: &[CellId],
         good: &NetValues,
         faulty: &NetValues,
-        search: &mut SearchScratch,
+        visited: &mut [bool],
+        touched: &mut Vec<u32>,
+        stack: &mut Vec<u32>,
     ) -> bool {
         let viable = |n: usize| {
             let g = good[n];
             let f = faulty[n];
             !(g.is_definite() && f.is_definite() && g == f)
         };
-        search.stack.clear();
+        let program = self.frame.program();
+        stack.clear();
         for &gate in frontier {
             let Some(out) = self.frame.netlist().cell(gate).output() else {
                 continue;
             };
             let n = out.index();
-            if viable(n) && !search.visited[n] {
-                search.visited[n] = true;
-                search.touched.push(n as u32);
-                search.stack.push(n as u32);
+            if viable(n) && !visited[n] {
+                visited[n] = true;
+                touched.push(n as u32);
+                stack.push(n as u32);
             }
         }
         let mut found = false;
-        'walk: while let Some(n) = search.stack.pop() {
+        'walk: while let Some(n) = stack.pop() {
             let n = n as usize;
             if self.frame.is_observation_net(NetId::from_index(n)) {
                 found = true;
                 break 'walk;
             }
-            for load in self.frame.netlist().loads_of(NetId::from_index(n)) {
-                let cell = self.frame.netlist().cell(load.cell);
-                if cell.is_dead() || !cell.kind().is_combinational() {
-                    continue;
-                }
-                let Some(out) = cell.output() else { continue };
-                let o = out.index();
-                if !search.visited[o] && viable(o) {
-                    search.visited[o] = true;
-                    search.touched.push(o as u32);
-                    search.stack.push(o as u32);
+            for &g in self.load_gates.of(n) {
+                let o = program.gate_output(g as usize) as usize;
+                if !visited[o] && viable(o) {
+                    visited[o] = true;
+                    touched.push(o as u32);
+                    stack.push(o as u32);
                 }
             }
         }
-        for &n in &search.touched {
-            search.visited[n as usize] = false;
+        for &n in touched.iter() {
+            visited[n as usize] = false;
         }
-        search.touched.clear();
+        touched.clear();
         found
     }
 
@@ -741,8 +910,14 @@ impl<'a> Podem<'a> {
     /// (least CO — the most promising propagation path), and among its X side
     /// inputs the one hardest to drive non-controlling — every side input
     /// must get there eventually, so attacking the bottleneck first fails
-    /// fast and prunes backtracks.
-    fn frontier_objective(&self, frontier: &[CellId], good: &NetValues) -> Option<(NetId, bool)> {
+    /// fast and prunes backtracks. `x_inputs` is scratch for the chosen
+    /// gate's X pins.
+    fn frontier_objective(
+        &self,
+        frontier: &[CellId],
+        good: &NetValues,
+        x_inputs: &mut Vec<usize>,
+    ) -> Option<(NetId, bool)> {
         let gate = match &self.scoap {
             None => *frontier.first()?,
             Some(scoap) => {
@@ -767,13 +942,14 @@ impl<'a> Podem<'a> {
             Some(cv) => !cv,
             None => true,
         };
-        let x_inputs: Vec<usize> = cell
-            .inputs()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| good[n.index()] == Logic::X)
-            .map(|(i, _)| i)
-            .collect();
+        x_inputs.clear();
+        x_inputs.extend(
+            cell.inputs()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| good[n.index()] == Logic::X)
+                .map(|(i, _)| i),
+        );
         // Frontier gates always carry an X side input (their output is still
         // undecided), but the chosen gate's Xs may sit on other frontier
         // gates when SCOAP re-ordered the scan; fall back to scan order then.
@@ -792,7 +968,7 @@ impl<'a> Podem<'a> {
                     })
             });
         } else {
-            self.choose_input(cell, &x_inputs, noncontrolling, true)
+            self.choose_input(cell, x_inputs, noncontrolling, true)
         };
         Some((cell.inputs()[pin], noncontrolling))
     }
@@ -800,8 +976,6 @@ impl<'a> Podem<'a> {
     fn generate_inner(
         &self,
         fault: StuckAt,
-        good: &mut NetValues,
-        faulty: &mut NetValues,
         clip: Option<&mut ClipEngine>,
         search: &mut SearchScratch,
     ) -> (PodemOutcome, usize, bool) {
@@ -810,29 +984,27 @@ impl<'a> Podem<'a> {
             // this frame.
             return (PodemOutcome::Redundant, 0, false);
         };
-        if good.len() != self.frame.netlist().num_nets() {
-            *good = self.frame.blank_values();
-        }
-        if faulty.len() != self.frame.netlist().num_nets() {
-            *faulty = self.frame.blank_values();
-        }
         // Clip the search to the fault's fanout cone: one cheap extraction
-        // per fault buys faulty simulation, D-frontier scanning and detection
-        // over the usually tiny cone, while the good machine is maintained
-        // incrementally — each decision re-evaluates only the gates its
-        // change actually reaches.
+        // and one faulty simulation of the cone per fault buy D-frontier
+        // scanning and detection over the usually tiny cone, while both
+        // machines are maintained incrementally — each decision
+        // re-evaluates only the gates its change actually reaches.
         let clip: Option<&ClipEngine> = match clip {
             Some(c) => {
-                c.prepare(&self.frame, site_net);
+                c.prepare(&self.frame, fault, site_net);
+                self.simulate_faulty_clipped(
+                    c,
+                    fault,
+                    site_net,
+                    &search.good.values,
+                    &mut search.faulty.values,
+                );
                 Some(c)
             }
             None => None,
         };
         let obs_nets: &[NetId] = clip.map_or(self.frame.observation_nets(), |c| &c.obs_nets);
         let stuck = Logic::from_bool(fault.value);
-        let mut assignments: HashMap<NetId, Logic> = HashMap::new();
-        // Decision stack: (net, current value, tried_both).
-        let mut stack: Vec<(NetId, bool, bool)> = Vec::new();
         let mut backtracks = 0usize;
         let mut interrupted = false;
 
@@ -843,57 +1015,67 @@ impl<'a> Podem<'a> {
                 interrupted = true;
                 break 'search PodemOutcome::Aborted;
             }
-            match clip {
-                Some(c) => {
-                    // The good machine is already current (incrementally
-                    // maintained); only the faulty view needs refreshing.
-                    self.simulate_faulty_clipped(c, fault, site_net, good, faulty);
-                }
-                None => {
-                    let assigned = || assignments.iter().map(|(&net, &v)| (net, v));
-                    self.frame.simulate(assigned(), None, good);
-                    self.frame.simulate(assigned(), Some(fault), faulty);
-                }
+            if clip.is_none() {
+                let assigned = || {
+                    search
+                        .decisions
+                        .iter()
+                        .map(|d| (d.net, Logic::from_bool(d.value)))
+                };
+                self.frame
+                    .simulate(assigned(), None, &mut search.good.values);
+                self.frame
+                    .simulate(assigned(), Some(fault), &mut search.faulty.values);
             }
+            let (good, faulty) = (&search.good.values, &search.faulty.values);
 
             if self.frame.detects(fault, good, faulty, obs_nets) {
                 let pattern = TestPattern {
-                    assignments: assignments
-                        .iter()
-                        .filter_map(|(&n, &v)| v.to_bool().map(|b| (n, b)))
-                        .collect(),
+                    assignments: search.decisions.iter().map(|d| (d.net, d.value)).collect(),
                 };
                 break 'search PodemOutcome::Test(pattern);
             }
 
             let site_value = good[site_net.index()];
             let excitation_conflict = site_value.is_definite() && site_value == stuck;
-            let frontier = self.d_frontier(fault, good, faulty, clip);
+            self.d_frontier(fault, good, faulty, clip, &mut search.frontier);
             let excited = site_value.is_definite() && site_value != stuck;
             let dead_end = excitation_conflict
                 || (excited
-                    && (frontier.is_empty()
+                    && (search.frontier.is_empty()
                         || (self.config.x_path_check
-                            && !self.frontier_has_x_path(&frontier, good, faulty, search))));
+                            && !self.frontier_has_x_path(
+                                &search.frontier,
+                                good,
+                                faulty,
+                                &mut search.visited,
+                                &mut search.touched,
+                                &mut search.stack,
+                            ))));
 
             let objective = if dead_end {
                 None
             } else if !excited {
                 Some((site_net, !fault.value))
             } else {
-                self.frontier_objective(&frontier, good)
+                self.frontier_objective(&search.frontier, good, &mut search.x_inputs)
             };
 
-            let decision =
-                objective.and_then(|(net, value)| self.backtrace(net, value, good, &assignments));
+            let decision = objective.and_then(|(net, value)| {
+                self.backtrace(net, value, good, &search.assigned, &mut search.x_inputs)
+            });
 
             match decision {
-                Some((input, value)) => {
-                    assignments.insert(input, Logic::from_bool(value));
-                    stack.push((input, value, false));
-                    if clip.is_some() {
-                        self.good_set(search, good, input, Logic::from_bool(value));
-                        self.good_flush(search, good);
+                Some((net, value)) => {
+                    search.assigned[net.index()] = true;
+                    search.decisions.push(Decision {
+                        net,
+                        value,
+                        flipped: false,
+                        marks: search.marks(),
+                    });
+                    if let Some(c) = clip {
+                        self.assign(c, fault, search, net, value);
                     }
                 }
                 None => {
@@ -903,47 +1085,37 @@ impl<'a> Podem<'a> {
                     // callers would screen potentially testable faults out of
                     // the coverage denominator.
                     loop {
-                        match stack.pop() {
-                            None => break 'search PodemOutcome::Redundant,
-                            Some((input, value, tried_both)) => {
-                                assignments.remove(&input);
-                                if clip.is_some() {
-                                    self.good_set(search, good, input, Logic::X);
-                                }
-                                if !tried_both {
-                                    backtracks += 1;
-                                    if backtracks > self.config.backtrack_limit {
-                                        break 'search PodemOutcome::Aborted;
-                                    }
-                                    assignments.insert(input, Logic::from_bool(!value));
-                                    stack.push((input, !value, true));
-                                    if clip.is_some() {
-                                        self.good_set(
-                                            search,
-                                            good,
-                                            input,
-                                            Logic::from_bool(!value),
-                                        );
-                                    }
-                                    break;
-                                }
+                        let Some(d) = search.decisions.pop() else {
+                            break 'search PodemOutcome::Redundant;
+                        };
+                        search.assigned[d.net.index()] = false;
+                        search.restore(d.marks);
+                        if !d.flipped {
+                            backtracks += 1;
+                            if backtracks > self.config.backtrack_limit {
+                                break 'search PodemOutcome::Aborted;
                             }
+                            search.assigned[d.net.index()] = true;
+                            search.decisions.push(Decision {
+                                value: !d.value,
+                                flipped: true,
+                                ..d
+                            });
+                            if let Some(c) = clip {
+                                self.assign(c, fault, search, d.net, !d.value);
+                            }
+                            break;
                         }
-                    }
-                    if clip.is_some() {
-                        self.good_flush(search, good);
                     }
                 }
             }
         };
 
-        // Retract this fault's surviving assignments so the incremental good
-        // machine returns to its baseline for the next fault.
-        if clip.is_some() {
-            for &net in assignments.keys() {
-                self.good_set(search, good, net, Logic::X);
-            }
-            self.good_flush(search, good);
+        // Pop the trails to empty: the incremental good machine is back at
+        // its baseline for the next fault.
+        search.restore((0, 0));
+        for d in search.decisions.drain(..) {
+            search.assigned[d.net.index()] = false;
         }
         (outcome, backtracks, interrupted)
     }
@@ -1222,6 +1394,67 @@ mod tests {
                 "{fault:?} took a different search path under clipping"
             );
         }
+    }
+
+    #[test]
+    fn every_way_a_search_ends_restores_the_baseline_good_machine() {
+        // y = a OR (a AND b) carries a redundant fault; z = y AND d with d
+        // tied to 1 gives the baseline a constant to keep.
+        let mut b = NetlistBuilder::new("t");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("d");
+        let t = b.and2(a, c);
+        let y = b.or2(a, t);
+        let z = b.and2(y, d);
+        b.output("y", y);
+        b.output("z", z);
+        let n = b.finish();
+        let mut constraints = ConstraintSet::full_scan();
+        constraints.tie_net(d, true);
+        let and = n.driver_of(t).unwrap();
+        let redundant = StuckAt::output(and, false);
+        let testable = StuckAt::output(and, true);
+
+        let mut podem = Podem::new(&n, &constraints, PodemConfig::default()).unwrap();
+        let mut baseline = podem.frame.blank_values();
+        podem.frame.simulate([], None, &mut baseline);
+        let assert_at_baseline = |podem: &Podem<'_>, ending: &str| {
+            assert_eq!(
+                podem.search.good.values, baseline,
+                "good machine after {ending}"
+            );
+            assert_eq!(podem.search.marks(), (0, 0), "trails after {ending}");
+            assert!(
+                !podem.search.assigned.contains(&true),
+                "assigned mask after {ending}"
+            );
+        };
+
+        assert!(matches!(podem.generate(testable), PodemOutcome::Test(_)));
+        assert_at_baseline(&podem, "a test");
+        assert_eq!(podem.generate(redundant), PodemOutcome::Redundant);
+        assert!(podem.last_backtracks() > 0);
+        assert_at_baseline(&podem, "a proof");
+
+        let mut starved = Podem::new(
+            &n,
+            &constraints,
+            PodemConfig {
+                backtrack_limit: 0,
+                ..PodemConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(starved.generate(redundant), PodemOutcome::Aborted);
+        assert!(!starved.last_search_interrupted());
+        assert_at_baseline(&starved, "a budget abort");
+
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        podem.set_search_limits(Some(stop), None);
+        assert_eq!(podem.generate(testable), PodemOutcome::Aborted);
+        assert!(podem.last_search_interrupted());
+        assert_at_baseline(&podem, "an interrupt");
     }
 
     #[test]

@@ -609,6 +609,82 @@ proptest! {
         }
     }
 
+    /// The cone-clipped engine, whose good machine is updated by events and
+    /// undone by its trail, takes exactly the decisions of the unclipped
+    /// engine, which re-simulates from scratch every step: the same outcome
+    /// (patterns included) and the same backtrack count, fault by fault, at
+    /// every budget, combinational and sequential, with flip-flops observed
+    /// and controlled or not. SCOAP guidance and the X-path check are drawn
+    /// at random but equal on both sides, so the clip is the only
+    /// difference. Each engine serves the whole universe, so the
+    /// trail's return to the baseline between faults is exercised too.
+    #[test]
+    fn clipped_search_matches_the_unclipped_engine_decision_for_decision(
+        spec in prop::collection::vec(any::<u8>(), 4..20),
+        sequential in any::<bool>(),
+        tie_mask in 0u8..64,
+        tie_values in 0u8..64,
+        output_mask in 0u8..8,
+        scoap_guidance in any::<bool>(),
+        x_path_check in any::<bool>(),
+        observe_ff_inputs in any::<bool>(),
+        control_ff_outputs in any::<bool>(),
+    ) {
+        let (netlist, inputs) = if sequential {
+            let (netlist, inputs, _) = build_seq_circuit(&spec);
+            (netlist, inputs)
+        } else {
+            let (netlist, inputs, _) = build_circuit(&spec);
+            (netlist, inputs)
+        };
+        let mut constraints = ConstraintSet::full_scan();
+        constraints.observe_ff_inputs = observe_ff_inputs;
+        constraints.control_ff_outputs = control_ff_outputs;
+        for (i, &net) in inputs.iter().enumerate() {
+            if (tie_mask >> i) & 1 == 1 {
+                constraints.tie_net(net, (tie_values >> i) & 1 == 1);
+            }
+        }
+        for (i, &po) in netlist.primary_outputs().iter().enumerate() {
+            if (output_mask >> i) & 1 == 1 {
+                constraints.mask_output(po);
+            }
+        }
+        let faults = FaultList::full_universe(&netlist).faults().to_vec();
+        for backtrack_limit in [0, 1, 4, 50_000] {
+            let config = PodemConfig {
+                backtrack_limit,
+                cone_clip: false,
+                scoap_guidance,
+                x_path_check,
+            };
+            let mut unclipped = Podem::new(&netlist, &constraints, config).unwrap();
+            let mut clipped = Podem::new(
+                &netlist,
+                &constraints,
+                PodemConfig { cone_clip: true, ..config },
+            )
+            .unwrap();
+            for &fault in &faults {
+                let expected = unclipped.generate(fault);
+                prop_assert_eq!(
+                    clipped.generate(fault),
+                    expected,
+                    "fault {:?} at budget {}",
+                    fault,
+                    backtrack_limit
+                );
+                prop_assert_eq!(
+                    clipped.last_backtracks(),
+                    unclipped.last_backtracks(),
+                    "fault {:?} took another search path at budget {}",
+                    fault,
+                    backtrack_limit
+                );
+            }
+        }
+    }
+
     /// Collapse-scheduled proving (one representative per equivalence class,
     /// concluded verdicts expanded across the class) matches proving every
     /// class member individually — the soundness of the expansion rule.

@@ -2,7 +2,7 @@
 //! PODEM configuration (backtrack 16) aborts on, replayed through one
 //! single-threaded [`atpg::SatProver`] at the committed conflict budget
 //! (`ProofConfig::default().sat_conflict_limit`) — the workload behind the
-//! `sat_throughput` section of `BENCH_flow.json` and the fourth CI
+//! `sat_throughput` section of `BENCH_flow.json` and the SAT layer's CI
 //! perf-smoke gate.
 //!
 //! The preparation (structural rules + SBST fault simulation to select the
@@ -28,7 +28,7 @@ fn sat_throughput(c: &mut Criterion) {
     println!("survivors               : {}", campaign.survivors());
 
     let committed = ProofConfig::default().sat_conflict_limit;
-    let worklist = campaign.sat_escalation_worklist();
+    let worklist = campaign.run_podem_only().aborted;
     for limit in SWEEP {
         let full = campaign.run_sat_stage(&worklist, limit);
         println!(

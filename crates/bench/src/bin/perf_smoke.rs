@@ -1,4 +1,4 @@
-//! CI perf-regression gate: replays the four committed performance
+//! CI perf-regression gate: replays the five committed performance
 //! workloads in a quick configuration and fails (exit code 1) when the
 //! measured wall-clock regresses past `regression_factor` × the committed
 //! number.
@@ -13,7 +13,10 @@
 //!   single-threaded portfolio over the same worklist, so the survivors are
 //!   proven once;
 //! * `BENCH_flow.json` → the SAT escalation alone over the PODEM aborts
-//!   (`sat_throughput.sat_wall_clock_s`).
+//!   (`sat_throughput.sat_wall_clock_s`);
+//! * `BENCH_flow.json` → the PODEM layer alone: the same survivor set with
+//!   the SAT escalation off (`proof_throughput.podem_only.proof_wall_clock_s`),
+//!   the pass whose aborts are the SAT escalation's worklist.
 //!
 //! The verdict counts it checks belong to the engine epoch
 //! `BENCH_flow.json` records (`workload.engine_epoch`); the gate refuses to
@@ -21,8 +24,9 @@
 //!
 //! Run with `cargo run --release -p bench --bin perf_smoke`. Refresh the
 //! committed numbers by re-running the `fault_sim_throughput`,
-//! `flow_pipeline`, `proof_throughput` and `sat_throughput` benches and
-//! editing the JSON files.
+//! `flow_pipeline`, `proof_throughput` and `sat_throughput` benches (the
+//! PODEM-only time is this gate's own `podem_only` line) and editing the
+//! JSON files.
 
 use atpg::{ProofConfig, ENGINE_EPOCH};
 use bench::{
@@ -48,14 +52,15 @@ impl Gate {
     }
 }
 
-fn read_reference(path: &str, section: &str, key: &str) -> f64 {
+/// The committed number at the key path `keys` of the JSON file `path`.
+fn read_reference(path: &str, keys: &[&str]) -> f64 {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read committed numbers from {path}: {e}"));
     let doc = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    doc.get(section)
-        .and_then(|s| s.get(key))
+    keys.iter()
+        .try_fold(&doc, |node, key| node.get(key))
         .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("{path} does not record {section}.{key}"))
+        .unwrap_or_else(|| panic!("{path} does not record {}", keys.join(".")))
 }
 
 fn main() {
@@ -76,7 +81,7 @@ fn main() {
     // engine that moved budget-limited verdicts bumps the epoch, and its
     // counts must be re-recorded under the new epoch, never compared with
     // (or recorded against) the old one's.
-    let committed_epoch = read_reference(&flow_json, "workload", "engine_epoch") as u64;
+    let committed_epoch = read_reference(&flow_json, &["workload", "engine_epoch"]) as u64;
     if committed_epoch != ENGINE_EPOCH {
         eprintln!(
             "perf-smoke gate failed: BENCH_flow.json records verdict counts for engine epoch \
@@ -98,7 +103,8 @@ fn main() {
         campaign.detected,
         campaign.wall_clock.as_secs_f64()
     );
-    let committed_detected = read_reference(&faultsim_json, "workload", "faults_detected") as usize;
+    let committed_detected =
+        read_reference(&faultsim_json, &["workload", "faults_detected"]) as usize;
     if campaign.detected != committed_detected {
         eprintln!(
             "perf-smoke gate failed: the campaign detected {} faults but BENCH_faultsim.json \
@@ -110,7 +116,7 @@ fn main() {
     }
     let gate_faultsim = Gate {
         name: "fault_sim_throughput",
-        committed_s: read_reference(&faultsim_json, "post", "campaign_wall_clock_s"),
+        committed_s: read_reference(&faultsim_json, &["post", "campaign_wall_clock_s"]),
         measured_s: campaign.wall_clock.as_secs_f64(),
     };
 
@@ -125,7 +131,8 @@ fn main() {
         report.total_untestable(),
         flow_elapsed.as_secs_f64()
     );
-    let committed_untestable = read_reference(&flow_json, "workload", "untestable_total") as usize;
+    let committed_untestable =
+        read_reference(&flow_json, &["workload", "untestable_total"]) as usize;
     if report.total_untestable() != committed_untestable {
         eprintln!(
             "perf-smoke gate failed: the pipeline classified {} faults untestable but \
@@ -137,7 +144,7 @@ fn main() {
     }
     let gate_flow = Gate {
         name: "flow_pipeline",
-        committed_s: read_reference(&flow_json, "measured", "flow_wall_clock_s"),
+        committed_s: read_reference(&flow_json, &["measured", "flow_wall_clock_s"]),
         measured_s: flow_elapsed.as_secs_f64(),
     };
 
@@ -165,7 +172,7 @@ fn main() {
         proof_phase.duration.as_secs_f64(),
         proof_phase.duration.as_secs_f64() * 1e3 / proven.max(1) as f64
     );
-    let committed_proven = read_reference(&flow_json, "proof_throughput", "proven") as usize;
+    let committed_proven = read_reference(&flow_json, &["proof_throughput", "proven"]) as usize;
     if proven != committed_proven {
         eprintln!(
             "perf-smoke gate failed: the proof stage proved {proven} faults but BENCH_flow.json \
@@ -176,8 +183,45 @@ fn main() {
     }
     let gate_proof = Gate {
         name: "proof_throughput",
-        committed_s: read_reference(&flow_json, "proof_throughput", "proof_wall_clock_s"),
+        committed_s: read_reference(&flow_json, &["proof_throughput", "proof_wall_clock_s"]),
         measured_s: proof_phase.duration.as_secs_f64(),
+    };
+
+    // Gate 5, run before gate 4 because its aborts are gate 4's worklist:
+    // the PODEM layer alone — the committed PODEM configuration over the
+    // full survivor set with the SAT escalation off. Its proven and aborted
+    // counts are checked first: an engine that got faster by deciding
+    // differently must fail, not pass.
+    let campaign = bench::ProofCampaign::prepare();
+    let podem = campaign.run_podem_only();
+    println!(
+        "podem_only              : {} survivors, {} proven, {} aborted, {:.3} s",
+        campaign.survivors(),
+        podem.proven,
+        podem.aborted.len(),
+        podem.wall_clock.as_secs_f64()
+    );
+    let committed_podem_proven =
+        read_reference(&flow_json, &["proof_throughput", "podem_only", "proven"]) as usize;
+    let committed_podem_aborted =
+        read_reference(&flow_json, &["proof_throughput", "podem_only", "aborted"]) as usize;
+    if (podem.proven, podem.aborted.len()) != (committed_podem_proven, committed_podem_aborted) {
+        eprintln!(
+            "perf-smoke gate failed: PODEM alone proved {} faults and aborted {} but \
+             BENCH_flow.json records {committed_podem_proven} and {committed_podem_aborted} for \
+             this exact workload — the engine's decisions changed, not just its speed.",
+            podem.proven,
+            podem.aborted.len()
+        );
+        std::process::exit(1);
+    }
+    let gate_podem = Gate {
+        name: "podem_only",
+        committed_s: read_reference(
+            &flow_json,
+            &["proof_throughput", "podem_only", "proof_wall_clock_s"],
+        ),
+        measured_s: podem.wall_clock.as_secs_f64(),
     };
 
     // Gate 4: the SAT escalation alone — the first SAT_STAGE_SLICE faults
@@ -186,8 +230,7 @@ fn main() {
     // worklist; the slice keeps the gate a smoke test). The proven
     // count is checked first for the same reason as the other workloads: a
     // solver that got faster by concluding less must fail, not pass.
-    let campaign = bench::ProofCampaign::prepare();
-    let worklist = campaign.sat_escalation_worklist();
+    let worklist = podem.aborted;
     let slice = &worklist[..bench::SAT_STAGE_SLICE.min(worklist.len())];
     let sat = campaign.run_sat_stage(slice, ProofConfig::default().sat_conflict_limit);
     println!(
@@ -200,7 +243,7 @@ fn main() {
         sat.unresolved,
         sat.wall_clock.as_secs_f64()
     );
-    let committed_sat_proven = read_reference(&flow_json, "sat_throughput", "proven") as usize;
+    let committed_sat_proven = read_reference(&flow_json, &["sat_throughput", "proven"]) as usize;
     if sat.proven != committed_sat_proven {
         eprintln!(
             "perf-smoke gate failed: the SAT stage proved {} faults but BENCH_flow.json \
@@ -212,13 +255,13 @@ fn main() {
     }
     let gate_sat = Gate {
         name: "sat_throughput",
-        committed_s: read_reference(&flow_json, "sat_throughput", "sat_wall_clock_s"),
+        committed_s: read_reference(&flow_json, &["sat_throughput", "sat_wall_clock_s"]),
         measured_s: sat.wall_clock.as_secs_f64(),
     };
 
     println!();
     let mut failed = false;
-    for gate in [gate_faultsim, gate_flow, gate_proof, gate_sat] {
+    for gate in [gate_faultsim, gate_flow, gate_proof, gate_sat, gate_podem] {
         let verdict = if gate.passes(factor) { "PASS" } else { "FAIL" };
         println!(
             "{verdict} {name:<22} measured {measured:.3} s vs committed {committed:.3} s (limit {limit:.3} s)",
@@ -235,8 +278,8 @@ fn main() {
             "perf-smoke gate failed: a workload regressed more than {factor:.1}x past its \
              committed wall-clock. If the regression is intentional, re-measure with \
              `cargo bench -p bench --bench fault_sim_throughput` / `--bench flow_pipeline` / \
-             `--bench proof_throughput` / `--bench sat_throughput` and update \
-             BENCH_faultsim.json / BENCH_flow.json."
+             `--bench proof_throughput` / `--bench sat_throughput` (and this gate's \
+             podem_only line) and update BENCH_faultsim.json / BENCH_flow.json."
         );
         std::process::exit(1);
     }

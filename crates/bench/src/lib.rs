@@ -4,9 +4,10 @@
 //! Each Criterion bench binary corresponds to one paper artefact (see
 //! `EXPERIMENTS.md` for the experiment index) and prints the reproduced
 //! rows/series before measuring the runtime of the underlying analysis. The
-//! `perf_smoke` binary replays the two committed performance workloads
-//! (`BENCH_faultsim.json`, `BENCH_flow.json`) and fails when the measured
-//! wall-clock regresses past the committed numbers — the CI perf gate.
+//! `perf_smoke` binary replays the workloads of the two committed
+//! performance files (`BENCH_faultsim.json`, `BENCH_flow.json`) and fails
+//! when the measured wall-clock regresses past the committed numbers — the
+//! CI perf gate.
 
 use atpg::proof::{prove_faults, EngineBreakdown, EngineOutcome, ProofConfig};
 use atpg::{ConstraintSet, FaultSim, ProofOutcome, SatProver, SatVerdict};
@@ -76,7 +77,7 @@ pub struct CampaignResult {
 pub const FAULTSIM_SAMPLE: usize = 1_260;
 
 /// PODEM aborts replayed by the committed `sat_throughput` workload: the
-/// first this-many faults of [`ProofCampaign::sat_escalation_worklist`]
+/// first this-many aborts of [`ProofCampaign::run_podem_only`]
 /// (the worklist order is the fault-universe order, so the slice is
 /// deterministic).
 pub const SAT_STAGE_SLICE: usize = 256;
@@ -165,7 +166,7 @@ impl ProofResult {
 }
 
 /// The committed proof-stage workload behind the `proof_throughput` and
-/// `sat_throughput` benches and the fourth `perf_smoke` gate: the
+/// `sat_throughput` benches and the last two `perf_smoke` gates: the
 /// staged pipeline on the reduced SoC is run up to (and including) the SBST
 /// simulation once, outside the measured region; the measured region is a
 /// single-threaded [`prove_faults`] over the **full** survivor set under the
@@ -214,31 +215,40 @@ impl ProofCampaign {
         }
     }
 
-    /// The SAT escalation's worklist: the faults the PODEM configuration of
-    /// [`quick_pipeline_config`] aborts on, with the escalation itself off.
-    /// Computed outside any measured region. The measured replays take the
-    /// first [`SAT_STAGE_SLICE`] of them, which bounds the measured region
-    /// of a smoke gate; the `sat_throughput` bench replays the full worklist
-    /// once, outside its measured loop.
-    pub fn sat_escalation_worklist(&self) -> Vec<StuckAt> {
+    /// Runs the PODEM configuration of [`quick_pipeline_config`] once over
+    /// the full survivor set with the SAT escalation off, timing only the
+    /// proof run: the `proof_throughput.podem_only` workload and the PODEM
+    /// layer's `perf_smoke` gate. Its aborts are the SAT escalation's
+    /// worklist: the measured SAT replays take the first
+    /// [`SAT_STAGE_SLICE`] of them, which bounds the measured region of a
+    /// smoke gate; the `sat_throughput` bench replays all of them once,
+    /// outside its measured loop.
+    pub fn run_podem_only(&self) -> PodemOnlyResult {
+        let start = Instant::now();
         let outcomes = self.prove(&ProofConfig {
             use_sat: false,
             ..quick_pipeline_config().proof
         });
-        self.faults
-            .iter()
-            .zip(&outcomes)
-            .filter(|&(_, o)| o.outcome == ProofOutcome::Aborted)
-            .map(|(&f, _)| f)
-            .collect()
+        let wall_clock = start.elapsed();
+        PodemOnlyResult {
+            wall_clock,
+            proven: EngineBreakdown::from_outcomes(&outcomes).proven_total(),
+            aborted: self
+                .faults
+                .iter()
+                .zip(&outcomes)
+                .filter(|&(_, o)| o.outcome == ProofOutcome::Aborted)
+                .map(|(&f, _)| f)
+                .collect(),
+        }
     }
 
-    /// Replays the SAT escalation stage alone over `worklist` (normally
-    /// [`sat_escalation_worklist`](Self::sat_escalation_worklist)): one
+    /// Replays the SAT escalation stage alone over `worklist` (normally the
+    /// aborts of [`run_podem_only`](Self::run_podem_only)): one
     /// single-threaded [`SatProver`] at `conflict_limit` conflicts per fault
     /// (the committed budget is `ProofConfig::default().sat_conflict_limit`).
     /// This is the measured region of the `sat_throughput` bench and the
-    /// fourth `perf_smoke` gate.
+    /// SAT layer's `perf_smoke` gate.
     pub fn run_sat_stage(&self, worklist: &[StuckAt], conflict_limit: u64) -> SatStageResult {
         let mut prover = SatProver::new(&self.soc.netlist, &self.constraints, conflict_limit)
             .expect("acyclic netlist");
@@ -265,6 +275,19 @@ impl ProofCampaign {
             .expect("proof run")
             .outcomes
     }
+}
+
+/// Result of one PODEM-only proof run (the `proof_throughput.podem_only`
+/// section of `BENCH_flow.json`).
+#[derive(Clone, Debug)]
+pub struct PodemOnlyResult {
+    /// Wall-clock of the proof run itself.
+    pub wall_clock: Duration,
+    /// Faults PODEM proved untestable.
+    pub proven: usize,
+    /// The faults PODEM aborted on, in worklist order: the SAT escalation's
+    /// worklist.
+    pub aborted: Vec<StuckAt>,
 }
 
 /// Result of one SAT-escalation replay (the `sat_throughput` section of
@@ -361,39 +384,41 @@ mod tests {
     #[test]
     fn committed_files_parse() {
         // Every committed number the perf-smoke gate reads must stay at its
-        // `section.key`, so a renamed key fails here rather than in the gate.
+        // key path, so a renamed key fails here rather than in the gate.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        for (file, keys) in [
+        for (file, paths) in [
             (
                 "BENCH_faultsim.json",
                 &[
-                    ("workload", "faults_detected"),
-                    ("post", "campaign_wall_clock_s"),
+                    &["workload", "faults_detected"][..],
+                    &["post", "campaign_wall_clock_s"],
                 ][..],
             ),
             (
                 "BENCH_flow.json",
                 &[
-                    ("perf_smoke", "regression_factor"),
-                    ("workload", "untestable_total"),
-                    ("workload", "engine_epoch"),
-                    ("measured", "flow_wall_clock_s"),
-                    ("proof_throughput", "proven"),
-                    ("proof_throughput", "proof_wall_clock_s"),
-                    ("sat_throughput", "proven"),
-                    ("sat_throughput", "sat_wall_clock_s"),
+                    &["perf_smoke", "regression_factor"][..],
+                    &["workload", "untestable_total"],
+                    &["workload", "engine_epoch"],
+                    &["measured", "flow_wall_clock_s"],
+                    &["proof_throughput", "proven"],
+                    &["proof_throughput", "proof_wall_clock_s"],
+                    &["proof_throughput", "podem_only", "proven"],
+                    &["proof_throughput", "podem_only", "aborted"],
+                    &["proof_throughput", "podem_only", "proof_wall_clock_s"],
+                    &["sat_throughput", "proven"],
+                    &["sat_throughput", "sat_wall_clock_s"],
                 ][..],
             ),
         ] {
             let text = std::fs::read_to_string(format!("{root}/{file}")).expect(file);
             let doc = JsonValue::parse(&text).expect(file);
-            for (section, key) in keys {
+            for path in paths {
+                let value = path.iter().try_fold(&doc, |node, key| node.get(key));
                 assert!(
-                    doc.get(section)
-                        .and_then(|s| s.get(key))
-                        .and_then(JsonValue::as_f64)
-                        .is_some(),
-                    "{section}.{key} missing from {file}"
+                    value.and_then(JsonValue::as_f64).is_some(),
+                    "{} missing from {file}",
+                    path.join(".")
                 );
             }
         }
