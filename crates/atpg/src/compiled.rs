@@ -512,6 +512,16 @@ impl CompiledProgram {
         self.out[g]
     }
 
+    /// The input-net indices of compiled gate `g`, in pin order: its pin
+    /// window (empty for a gate without input pins).
+    #[inline]
+    pub(crate) fn gate_inputs(&self, g: usize) -> &[u32] {
+        let start = self.in_start[g] as usize;
+        self.pins
+            .get(start..start + self.in_len[g] as usize)
+            .unwrap_or(&[])
+    }
+
     /// Evaluation of compiled gate `g` over `values` with `fault` injected
     /// when it sits on one of the gate's pins or on its output, without
     /// writing the result — the inner step of event-driven faulty-machine

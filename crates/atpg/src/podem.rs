@@ -15,7 +15,8 @@
 //!   and runs D-frontier scanning and detection over that usually tiny set.
 //!   Both machines are maintained *incrementally*: each decision
 //!   re-evaluates only the gates its assignment actually reaches
-//!   (event-driven, in topological order) — every gate in the good machine,
+//!   (event-driven, in topological order, from a bitset over the compiled
+//!   gate program) — every gate in the good machine,
 //!   the cone's gates in the faulty one — and each machine logs every write
 //!   on its own undo trail. A backtrack pops the trails back to the
 //!   decision's marks and the end of a fault pops them to empty, so neither
@@ -46,8 +47,7 @@ use crate::scoap::{compute_scoap, Scoap};
 use crate::sim::NetValues;
 use faultmodel::{FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Configuration of the PODEM engine.
 #[derive(Clone, Copy, Debug)]
@@ -139,15 +139,17 @@ pub enum ProofOutcome {
 ///   fault and then updated by events too: a good-machine write to a net the
 ///   cone merely reads is mirrored into it, and only the cone gates whose
 ///   inputs changed are re-evaluated. D-frontier scanning and detection
-///   checks run over the same usually tiny set.
+///   checks run over the same usually tiny set; the scan reads each cone
+///   gate's compiled pin window, never the netlist's cells.
 #[derive(Debug)]
 struct ClipEngine {
     extractor: graph::ConeExtractor,
-    /// Fanout-cone cells that compiled to gates, in arena order — the
-    /// D-frontier scan set (identical iteration order to the full engine's
-    /// live-cell walk, restricted to the cells that can carry an effect).
-    fanout_cells: Vec<CellId>,
-    /// Gate-program indices of `fanout_cells`, ascending — the faulty
+    /// Fanout-cone cells that compiled to gates, each with its gate-program
+    /// index, in arena order — the D-frontier scan set (identical iteration
+    /// order to the full engine's live-cell walk, restricted to the cells
+    /// that can carry an effect).
+    fanout_cells: Vec<(CellId, u32)>,
+    /// The gate-program indices of `fanout_cells`, ascending — the faulty
     /// machine's evaluation program.
     fanout_gates: Vec<u32>,
     /// Dense membership bitmap over `fanout_gates`, indexed by gate.
@@ -219,7 +221,7 @@ impl ClipEngine {
             let g = frame.gate_of(cell_id);
             if g != NO_INDEX {
                 // Arena order: the extractor returns cells sorted by index.
-                fanout_cells.push(cell_id);
+                fanout_cells.push((cell_id, g));
                 fanout_gates.push(g);
             }
             for &n in cell.inputs() {
@@ -265,6 +267,13 @@ fn pins_site(frame: &Frame<'_>, fault: StuckAt, site_net: NetId) -> bool {
     }
 }
 
+/// Whether net `net` carries a definite difference between the machines.
+#[inline]
+fn differs(good: &[Logic], faulty: &[Logic], net: usize) -> bool {
+    let (g, f) = (good[net], faulty[net]);
+    g.is_definite() && f.is_definite() && g != f
+}
+
 /// The compiled fan-out of every net: the gate-program indices of its
 /// loads that compiled to gates (live combinational cells with an output),
 /// in CSR form. Built once per engine, so the event queue and the X-path
@@ -304,14 +313,20 @@ impl LoadGates {
 /// One three-valued machine of the search: its net values and, for the
 /// clipped engine, the events that keep it current and the trail that
 /// undoes it.
+///
+/// The event queue is a bitset over gate-program indices, popped lowest
+/// first. The indices are topological, so the lowest pending gate is always
+/// safe to settle next and each gate settles in a single visit per wave;
+/// no level table or per-level list is needed.
 #[derive(Debug, Default)]
 struct Machine {
     values: NetValues,
-    /// Dirty gate-program indices, a min-heap: indices are topological, so
-    /// each gate settles in a single visit per wave.
-    queue: BinaryHeap<Reverse<u32>>,
-    /// Dedupes `queue` insertions, indexed by gate.
-    dirty: Vec<bool>,
+    /// One bit per gate-program index: the gates waiting to be settled.
+    pending: Vec<u64>,
+    /// The lowest word of `pending` that may hold a bit.
+    cursor: usize,
+    /// The number of bits set in `pending`.
+    queued: usize,
     /// `(net, previous value)` of every write, oldest first.
     trail: Vec<(u32, Logic)>,
 }
@@ -320,7 +335,7 @@ impl Machine {
     fn new(values: NetValues, num_gates: usize) -> Self {
         Machine {
             values,
-            dirty: vec![false; num_gates],
+            pending: vec![0; num_gates.div_ceil(64)],
             ..Machine::default()
         }
     }
@@ -331,26 +346,38 @@ impl Machine {
         self.values[net] = value;
     }
 
-    /// Queues gate `g` for re-evaluation.
+    /// Queues gate `g` for re-evaluation; a gate already queued stays
+    /// queued once.
     fn schedule(&mut self, g: u32) {
-        if !self.dirty[g as usize] {
-            self.dirty[g as usize] = true;
-            self.queue.push(Reverse(g));
+        let (word, bit) = (g as usize / 64, 1u64 << (g % 64));
+        if self.pending[word] & bit == 0 {
+            self.pending[word] |= bit;
+            self.queued += 1;
+            self.cursor = self.cursor.min(word);
         }
     }
 
     /// The lowest queued gate, dequeued.
     fn next(&mut self) -> Option<usize> {
-        let Reverse(g) = self.queue.pop()?;
-        self.dirty[g as usize] = false;
-        Some(g as usize)
+        if self.queued == 0 {
+            return None;
+        }
+        loop {
+            let bits = self.pending[self.cursor];
+            if bits != 0 {
+                self.pending[self.cursor] = bits & (bits - 1);
+                self.queued -= 1;
+                return Some(self.cursor * 64 + bits.trailing_zeros() as usize);
+            }
+            self.cursor += 1;
+        }
     }
 
     /// Pops the trail back to `mark`, undoing every write made since,
     /// newest first. The queue must be empty: a pending event would
     /// re-apply a write the restore just undid.
     fn restore(&mut self, mark: usize) {
-        debug_assert!(self.queue.is_empty(), "trail restored with events pending");
+        debug_assert_eq!(self.queued, 0, "trail restored with events pending");
         for (net, old) in self.trail.drain(mark..).rev() {
             self.values[net as usize] = old;
         }
@@ -613,13 +640,18 @@ impl<'a> Podem<'a> {
     /// is present on at least one input (either because the driving net
     /// carries a difference, or because the cell itself hosts an excited
     /// branch fault) but the output does not yet show a definite difference.
+    /// `excited` says whether the site carries the fault effect.
     ///
     /// With cone clipping the scan covers only the fanout cone's gates — the
     /// only cells that can carry a fault effect — kept in arena order, so the
-    /// frontier is identical to the full engine's.
+    /// frontier is identical to the full engine's. It reads each gate's
+    /// compiled pin window, and passes over a gate whose output is definite
+    /// in both machines before reading any input: such a gate either shows
+    /// the difference or blocks it, so it is on the frontier in neither case.
     fn d_frontier(
         &self,
         fault: StuckAt,
+        excited: bool,
         good: &NetValues,
         faulty: &NetValues,
         clip: Option<&ClipEngine>,
@@ -628,8 +660,26 @@ impl<'a> Podem<'a> {
         frontier.clear();
         match clip {
             Some(c) => {
-                for &id in &c.fanout_cells {
-                    self.d_frontier_check(id, fault, good, faulty, frontier);
+                let program = self.frame.program();
+                // For a branch fault the site net is the faulted pin's net,
+                // so `excited` is the effect at that cell's input.
+                let excited_branch = match fault.site {
+                    FaultSite::CellInput { cell, .. } if excited => Some(cell),
+                    _ => None,
+                };
+                for &(id, g) in &c.fanout_cells {
+                    let out = program.gate_output(g as usize) as usize;
+                    if good[out].is_definite() && faulty[out].is_definite() {
+                        continue;
+                    }
+                    if excited_branch == Some(id)
+                        || program
+                            .gate_inputs(g as usize)
+                            .iter()
+                            .any(|&n| differs(good, faulty, n as usize))
+                    {
+                        frontier.push(id);
+                    }
                 }
             }
             None => {
@@ -653,19 +703,13 @@ impl<'a> Podem<'a> {
     ) {
         let cell = self.frame.netlist().cell(id);
         let Some(out) = cell.output() else { return };
-        let out_diff = {
-            let g = good[out.index()];
-            let f = faulty[out.index()];
-            g.is_definite() && f.is_definite() && g != f
-        };
-        if out_diff {
+        if differs(good, faulty, out.index()) {
             return;
         }
-        let mut has_input_diff = cell.inputs().iter().any(|&n| {
-            let g = good[n.index()];
-            let f = faulty[n.index()];
-            g.is_definite() && f.is_definite() && g != f
-        });
+        let mut has_input_diff = cell
+            .inputs()
+            .iter()
+            .any(|&n| differs(good, faulty, n.index()));
         // An excited branch fault on this very cell is a fault effect at
         // its input even though the driving net value is unchanged.
         if let FaultSite::CellInput { cell: fc, pin } = fault.site {
@@ -1038,8 +1082,8 @@ impl<'a> Podem<'a> {
 
             let site_value = good[site_net.index()];
             let excitation_conflict = site_value.is_definite() && site_value == stuck;
-            self.d_frontier(fault, good, faulty, clip, &mut search.frontier);
             let excited = site_value.is_definite() && site_value != stuck;
+            self.d_frontier(fault, excited, good, faulty, clip, &mut search.frontier);
             let dead_end = excitation_conflict
                 || (excited
                     && (search.frontier.is_empty()
@@ -1394,6 +1438,25 @@ mod tests {
                 "{fault:?} took a different search path under clipping"
             );
         }
+    }
+
+    #[test]
+    fn the_event_queue_pops_each_gate_once_in_ascending_order_across_words() {
+        let mut machine = Machine::new(Vec::new(), 200);
+        for g in [130, 3, 199, 64, 3, 127, 130, 0] {
+            machine.schedule(g);
+        }
+        let popped: Vec<usize> = std::iter::from_fn(|| machine.next()).collect();
+        assert_eq!(popped, [0, 3, 64, 127, 130, 199]);
+        // Emptied with its cursor on the last word, the queue still finds
+        // gates scheduled below it.
+        machine.schedule(70);
+        machine.schedule(5);
+        assert_eq!(machine.next(), Some(5));
+        machine.schedule(1);
+        assert_eq!(machine.next(), Some(1));
+        assert_eq!(machine.next(), Some(70));
+        assert_eq!(machine.next(), None);
     }
 
     #[test]

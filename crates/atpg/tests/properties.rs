@@ -618,9 +618,11 @@ proptest! {
     /// at random but equal on both sides, so the clip is the only
     /// difference. Each engine serves the whole universe, so the
     /// trail's return to the baseline between faults is exercised too.
+    /// Designs run up to 199 gates, so the event queue's bitset spans up
+    /// to four 64-gate words.
     #[test]
     fn clipped_search_matches_the_unclipped_engine_decision_for_decision(
-        spec in prop::collection::vec(any::<u8>(), 4..20),
+        spec in prop::collection::vec(any::<u8>(), 4..200),
         sequential in any::<bool>(),
         tie_mask in 0u8..64,
         tie_values in 0u8..64,

@@ -111,22 +111,17 @@ fn handle(service: &Arc<Service>, mut stream: TcpStream, limits: &Limits) {
 
 /// Serves until a requested shutdown finishes draining, then returns. Status
 /// polls keep working throughout the drain.
+///
+/// The loop blocks in `accept`, so a request is answered when it arrives;
+/// the drain wakes it with one connection of its own when it completes.
+/// Every accepted connection is handled before the loop looks at the drain,
+/// so a request that arrives at shutdown is still answered.
 pub fn serve(listener: TcpListener, service: Arc<Service>) -> std::io::Result<()> {
     let limits = Limits::default();
-    listener.set_nonblocking(true)?;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                handle(&service, stream, &limits);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if service.is_shutdown_complete() {
-                    return Ok(());
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
+    service.wake_on_shutdown(listener.local_addr()?);
+    while !service.is_shutdown_complete() {
+        let (stream, _) = listener.accept()?;
+        handle(&service, stream, &limits);
     }
+    Ok(())
 }

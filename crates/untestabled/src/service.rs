@@ -16,6 +16,7 @@ use netlist::frontend::parse_netlist;
 use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
 use online_untestable::{ConstraintSpec, JsonValue, NetlistDesign};
 use std::collections::HashMap;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -123,6 +124,9 @@ pub struct Service {
     monitor_stop: AtomicBool,
     retire: AtomicUsize,
     live_workers: AtomicUsize,
+    /// Where the serve loop blocks in `accept`: the drain connects here once
+    /// it completes, so the loop wakes and returns.
+    serve_address: Mutex<Option<SocketAddr>>,
 }
 
 fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
@@ -155,6 +159,7 @@ impl Service {
             monitor_stop: AtomicBool::new(false),
             retire: AtomicUsize::new(0),
             live_workers: AtomicUsize::new(0),
+            serve_address: Mutex::new(None),
         });
         service.recover();
         for _ in 0..workers {
@@ -272,6 +277,21 @@ impl Service {
         self.shutdown_complete.load(Ordering::SeqCst)
     }
 
+    /// Registers the bound address of a serve loop blocked in `accept`. The
+    /// drain connects to it once it completes, on loopback when the listener
+    /// is bound to an unspecified address. The caller checks
+    /// [`is_shutdown_complete`](Self::is_shutdown_complete) after this
+    /// returns, so a drain that completed earlier is not missed.
+    pub(crate) fn wake_on_shutdown(&self, mut address: SocketAddr) {
+        if address.ip().is_unspecified() {
+            address.set_ip(match address {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        *self.serve_address.lock().expect("serve address poisoned") = Some(address);
+    }
+
     /// Number of jobs currently in a non-terminal state.
     pub fn open_jobs(&self) -> usize {
         let jobs = self.jobs.lock().expect("jobs poisoned");
@@ -337,6 +357,12 @@ impl Service {
             std::thread::sleep(Duration::from_millis(5));
         }
         self.shutdown_complete.store(true, Ordering::SeqCst);
+        let serve_address = *self.serve_address.lock().expect("serve address poisoned");
+        if let Some(address) = serve_address {
+            // The serve loop handles this connection like any other, then
+            // sees the completed drain. It may have returned already.
+            let _ = TcpStream::connect_timeout(&address, Duration::from_secs(1));
+        }
     }
 
     // ------------------------------------------------------------------

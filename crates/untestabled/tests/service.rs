@@ -170,6 +170,30 @@ fn submit_runs_to_done_with_a_report() {
 }
 
 #[test]
+fn an_idle_daemon_answers_each_request_when_it_arrives() {
+    // A serve loop that polled `accept` and slept 5 ms between polls kept
+    // every sequential request waiting for the rest of a sleep: twenty took
+    // about 100 ms. The best of three rounds must be well under that.
+    let server = TestServer::start("prompt", |_| {});
+    let best = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..20 {
+                let health = client::request(&server.addr, "GET", "/healthz", None).unwrap();
+                assert_eq!(health.status, 200);
+            }
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        best < Duration::from_millis(50),
+        "twenty health checks took {best:?}"
+    );
+    server.stop();
+}
+
+#[test]
 fn unknown_jobs_and_endpoints_are_clean_404s() {
     let server = TestServer::start("notfound", |_| {});
     assert_eq!(client::job_status(&server.addr, 999).unwrap().status, 404);
