@@ -3,7 +3,7 @@
 
 use atpg::FailurePlan;
 use netlist::frontend::Format;
-use online_untestable::{JsonValue, ProofStageConfig};
+use online_untestable::{ConstraintSpec, JsonValue, NetlistDesign, ProofStageConfig};
 use std::time::Duration;
 
 /// Proof-stage knobs a submission may set; everything is optional and
@@ -65,17 +65,15 @@ pub struct ChaosSpec {
     pub engine: Option<FailurePlan>,
 }
 
-/// One accepted submission, fully validated: the parse work happens once at
-/// `POST /jobs` (and again on restart recovery) so worker attempts cannot
-/// fail on malformed input.
-#[derive(Clone, Debug, PartialEq)]
+/// One accepted submission, parsed once: at `POST /jobs`, or when a restart
+/// recovers an interrupted job. The circuit is parsed and its mission
+/// constraints bound here, so the cache fingerprint and every attempt read
+/// one design and an attempt cannot fail on malformed input.
+#[derive(Clone, Debug)]
 pub struct JobRequest {
-    /// The netlist source text.
-    pub circuit: String,
-    /// Its frontend format.
-    pub format: Format,
-    /// Optional mission-constraint spec text (`force` / `mask` lines).
-    pub constraints: Option<String>,
+    /// The parsed circuit with its mission constraints (`force` / `mask`
+    /// lines) bound to it.
+    pub design: NetlistDesign,
     /// Proof-stage configuration.
     pub config: JobProofConfig,
     /// Failure injection, only present under `--enable-chaos`.
@@ -173,10 +171,10 @@ fn bool_field(doc: &JsonValue, key: &str, default: bool) -> Result<bool, String>
 }
 
 impl JobRequest {
-    /// Parses and validates a `POST /jobs` body. `allow_chaos` gates the
-    /// `chaos` section: refused with an explanation unless the daemon opted
-    /// in. The circuit and constraint texts are parsed here so acceptance
-    /// means an attempt can only fail for runtime reasons.
+    /// Parses and validates a `POST /jobs` body into the design it
+    /// submits. `allow_chaos` gates the `chaos` section: refused with an
+    /// explanation unless the daemon opted in. Acceptance means an attempt
+    /// can only fail for runtime reasons.
     pub fn from_json(body: &str, allow_chaos: bool) -> Result<JobRequest, String> {
         let doc = JsonValue::parse(body).map_err(|e| e.to_string())?;
         if doc.as_object().is_none() {
@@ -185,24 +183,22 @@ impl JobRequest {
         let circuit = doc
             .get("circuit")
             .and_then(JsonValue::as_str)
-            .ok_or("`circuit` (netlist source text) is required")?
-            .to_string();
+            .ok_or("`circuit` (netlist source text) is required")?;
         let format_name = doc
             .get("format")
             .and_then(JsonValue::as_str)
             .unwrap_or("bench");
         let format = Format::from_name(format_name)
             .ok_or_else(|| format!("unknown format `{format_name}`"))?;
-        netlist::frontend::parse_netlist(&circuit, format).map_err(|e| format!("circuit: {e}"))?;
-        let constraints = match doc.get("constraints") {
+        let netlist = netlist::frontend::parse_netlist(circuit, format)
+            .map_err(|e| format!("circuit: {e}"))?;
+        let spec = match doc.get("constraints") {
             None | Some(JsonValue::Null) => None,
             Some(value) => {
                 let text = value
                     .as_str()
                     .ok_or("`constraints` must be the spec text as a string")?;
-                online_untestable::ConstraintSpec::parse(text)
-                    .map_err(|e| format!("constraints: {e}"))?;
-                Some(text.to_string())
+                Some(ConstraintSpec::parse(text).map_err(|e| format!("constraints: {e}"))?)
             }
         };
 
@@ -265,10 +261,13 @@ impl JobRequest {
             }
         };
 
+        let design = match spec {
+            Some(spec) => NetlistDesign::with_constraints(netlist, &spec)
+                .map_err(|e| format!("constraints: {e}"))?,
+            None => NetlistDesign::new(netlist),
+        };
         Ok(JobRequest {
-            circuit,
-            format,
-            constraints,
+            design,
             config,
             chaos,
         })
@@ -278,6 +277,7 @@ impl JobRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use online_untestable::Design;
 
     const C17: &str = "INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n10 = NAND(1, 3)\n11 = NAND(3, 6)\n16 = NAND(2, 11)\n19 = NAND(11, 7)\n22 = NAND(10, 16)\n23 = NAND(16, 19)\n";
 
@@ -288,9 +288,23 @@ mod tests {
     #[test]
     fn minimal_submission_defaults() {
         let request = JobRequest::from_json(&body(""), false).unwrap();
-        assert_eq!(request.format, Format::Bench);
+        assert_eq!(request.design.netlist().primary_inputs().len(), 5);
+        assert!(request.design.forced_nets().is_empty());
+        assert!(request.design.masked_outputs().is_empty());
         assert_eq!(request.config, JobProofConfig::default());
         assert!(request.chaos.is_none());
+    }
+
+    #[test]
+    fn constraints_bind_to_the_circuit() {
+        let request =
+            JobRequest::from_json(&body(", \"constraints\": \"force 3 1\\nmask 23\""), false)
+                .unwrap();
+        assert_eq!(request.design.forced_nets().len(), 1);
+        assert_eq!(request.design.masked_outputs().len(), 1);
+        let err = JobRequest::from_json(&body(", \"constraints\": \"force nosuch 1\""), false)
+            .unwrap_err();
+        assert!(err.starts_with("constraints:"), "{err}");
     }
 
     #[test]

@@ -19,9 +19,10 @@ options:
                             address is printed on startup)
   --state-dir <dir>         persistent job state root
                             (default ./untestabled-state)
-  --workers <n>             identification worker threads (default 2)
-  --queue-capacity <n>      bounded queue size; submissions beyond it get
-                            503 + Retry-After (default 16)
+  --workers <n>             identification worker threads, at least 1
+                            (default 2)
+  --queue-capacity <n>      bounded queue size, at least 1; submissions
+                            beyond it get 503 + Retry-After (default 16)
   --max-retries <n>         retries after a panicked/stalled attempt before
                             the job is quarantined as failed (default 2)
   --backoff-ms <n>          base retry backoff, doubled per attempt

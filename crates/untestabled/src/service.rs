@@ -3,6 +3,11 @@
 //! retries with exponential backoff up to a budget, crash-safe per-job
 //! journals, and a content-addressed result cache.
 //!
+//! A submission is parsed once, into a [`JobRequest`] that the cache
+//! fingerprint and every attempt share. The job holds it only while it is
+//! open: once the job concludes, it keeps its status and report, and a
+//! restart reloads those from `result.json` without reading the request.
+//!
 //! Invariant: **every accepted job reaches a terminal state**, across worker
 //! panics, stalls, cancellations and whole-process kills — and a concluded
 //! verdict is bit-identical to the one an uninterrupted, fault-free run
@@ -12,9 +17,8 @@
 use crate::job::{JobRequest, JobState};
 use crate::queue::{JobQueue, QueueFull};
 use atpg::{CancelToken, Checkpoint, CheckpointError, ENGINE_EPOCH};
-use netlist::frontend::parse_netlist;
 use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
-use online_untestable::{ConstraintSpec, JsonValue, NetlistDesign};
+use online_untestable::JsonValue;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -27,10 +31,10 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Root of the persistent job state (`jobs/<id>/…` and `cache/…`).
     pub state_dir: PathBuf,
-    /// Worker threads running identification attempts.
+    /// Worker threads running identification attempts; at least 1.
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are refused with
-    /// backpressure (503 + `Retry-After`), never buffered unboundedly.
+    /// Bounded queue capacity, at least 1; submissions beyond it are refused
+    /// with backpressure (503 + `Retry-After`), never buffered unboundedly.
     pub queue_capacity: usize,
     /// Retries after a retryable attempt failure (panic, stall) before the
     /// job is quarantined as terminal `failed`.
@@ -80,6 +84,9 @@ pub enum SubmitError {
 
 /// The mutable half of a job; everything behind one mutex.
 struct JobRecord {
+    /// The parsed submission while the job is open; a terminal job has
+    /// none.
+    request: Option<Arc<JobRequest>>,
     state: JobState,
     attempts: u32,
     /// Attempt epoch: bumped when an attempt starts and when the monitor
@@ -100,11 +107,11 @@ struct JobRecord {
 
 struct Job {
     id: u64,
-    request: JobRequest,
     record: Mutex<JobRecord>,
 }
 
 struct AttemptInfo {
+    request: Arc<JobRequest>,
     epoch: u64,
     number: u32,
     token: CancelToken,
@@ -143,13 +150,15 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 impl Service {
     /// Creates (or re-opens) the state directory, recovers every journalled
     /// job — terminal results are reloaded, interrupted jobs re-enqueued —
-    /// and starts the worker pool and the monitor.
-    pub fn start(config: ServiceConfig) -> std::io::Result<Arc<Service>> {
+    /// and starts the worker pool and the monitor. A `workers` or
+    /// `queue_capacity` of 0 runs as 1.
+    pub fn start(mut config: ServiceConfig) -> std::io::Result<Arc<Service>> {
         std::fs::create_dir_all(config.state_dir.join("jobs"))?;
         std::fs::create_dir_all(config.state_dir.join("cache"))?;
-        let workers = config.workers.max(1);
+        config.workers = config.workers.max(1);
+        config.queue_capacity = config.queue_capacity.max(1);
         let service = Arc::new(Service {
-            queue: JobQueue::new(config.queue_capacity.max(1)),
+            queue: JobQueue::new(config.queue_capacity),
             config,
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -162,7 +171,7 @@ impl Service {
             serve_address: Mutex::new(None),
         });
         service.recover();
-        for _ in 0..workers {
+        for _ in 0..service.config.workers {
             service.spawn_worker();
         }
         {
@@ -179,8 +188,9 @@ impl Service {
     // Front-door API (called by the HTTP layer).
     // ------------------------------------------------------------------
 
-    /// Accepts a `POST /jobs` body: validates, consults the result cache,
-    /// journals, and enqueues. Returns `(id, state, cached)` on acceptance.
+    /// Accepts a `POST /jobs` body: parses it into the job's request,
+    /// consults the result cache, journals, and enqueues. Returns
+    /// `(id, state, cached)` on acceptance.
     pub fn submit(&self, body: &str) -> Result<(u64, JobState, bool), SubmitError> {
         if self.draining.load(Ordering::SeqCst) {
             return Err(SubmitError::Draining);
@@ -207,8 +217,9 @@ impl Service {
 
         let job = Arc::new(Job {
             id,
-            request,
             record: Mutex::new(JobRecord {
+                deadline: request.config.deadline.map(|d| Instant::now() + d),
+                request: Some(Arc::new(request)),
                 fingerprint,
                 ..fresh_record()
             }),
@@ -218,16 +229,12 @@ impl Service {
             record.state = JobState::Done;
             record.cached = true;
             record.report = Some(report);
-            self.persist_terminal(&job, &record);
+            self.persist_terminal(&job, &mut record);
             drop(record);
-            self.register(Arc::clone(&job));
+            self.register(job);
             return Ok((id, JobState::Done, true));
         }
-        {
-            let mut record = job.record.lock().expect("job poisoned");
-            record.deadline = job.request.config.deadline.map(|d| Instant::now() + d);
-        }
-        self.register(Arc::clone(&job));
+        self.register(job);
         match self.queue.push_new(id) {
             Ok(()) => Ok((id, JobState::Queued, false)),
             Err(QueueFull) => {
@@ -260,7 +267,7 @@ impl Service {
             if record.state == JobState::Queued {
                 record.state = JobState::Cancelled;
                 record.retry_at = None;
-                self.persist_terminal(&job, &record);
+                self.persist_terminal(&job, &mut record);
             }
         }
         Some(job_json(&job, &record).to_string())
@@ -427,14 +434,19 @@ impl Service {
         let _ = write_atomic(&self.cache_path(fingerprint), &entry.to_string());
     }
 
-    /// Journals a terminal state (atomic rename) and feeds the result cache.
-    fn persist_terminal(&self, job: &Job, record: &JobRecord) {
+    /// Journals a terminal state (atomic rename), feeds the result cache,
+    /// and drops the request: a concluded job keeps its status and report.
+    fn persist_terminal(&self, job: &Job, record: &mut JobRecord) {
         debug_assert!(record.state.is_terminal());
         let _ = write_atomic(
             &self.job_dir(job.id).join("result.json"),
             &job_json(job, record).to_string(),
         );
-        if record.state == JobState::Done && !record.cached && job.request.cacheable() {
+        let cacheable = record
+            .request
+            .take()
+            .is_some_and(|request| request.cacheable());
+        if record.state == JobState::Done && !record.cached && cacheable {
             if let Some(report) = &record.report {
                 self.cache_store(record.fingerprint, report);
             }
@@ -476,15 +488,14 @@ impl Service {
                     eprintln!("untestabled: job {id}: state lost after restart: {reason}");
                     let job = Arc::new(Job {
                         id,
-                        request: JobRequest::placeholder(),
                         record: Mutex::new(JobRecord {
                             state: JobState::Failed,
                             error: Some(format!("job state lost after restart: {reason}")),
                             ..fresh_record()
                         }),
                     });
-                    let record = job.record.lock().expect("job poisoned");
-                    self.persist_terminal(&job, &record);
+                    let mut record = job.record.lock().expect("job poisoned");
+                    self.persist_terminal(&job, &mut record);
                     drop(record);
                     self.register(job);
                 }
@@ -509,15 +520,9 @@ impl Service {
             .and_then(JsonValue::as_str)
             .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             .unwrap_or(0);
-        // The request may be unreadable; terminal jobs never run again, so a
-        // placeholder is fine.
-        let request = std::fs::read_to_string(dir.join("request.json"))
-            .ok()
-            .and_then(|body| JobRequest::from_json(&body, true).ok())
-            .unwrap_or_else(JobRequest::placeholder);
+        // A terminal job never runs again, so its request is not read.
         Some(Arc::new(Job {
             id,
-            request,
             record: Mutex::new(JobRecord {
                 state,
                 attempts: doc.get("attempts").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
@@ -567,8 +572,8 @@ impl Service {
         }
         Ok(Arc::new(Job {
             id,
-            request,
             record: Mutex::new(JobRecord {
+                request: Some(Arc::new(request)),
                 fingerprint,
                 ..fresh_record()
             }),
@@ -604,7 +609,7 @@ impl Service {
             job: Arc::clone(&job),
             epoch: attempt.epoch,
         };
-        if let Some(chaos) = &job.request.chaos {
+        if let Some(chaos) = &attempt.request.chaos {
             if attempt.number <= chaos.panic_attempts {
                 panic!("chaos: injected worker panic on attempt {}", attempt.number);
             }
@@ -618,7 +623,7 @@ impl Service {
                 }
             }
         }
-        let outcome = execute(&job, &attempt);
+        let outcome = execute(&attempt);
         self.conclude_attempt(&job, attempt.epoch, outcome);
     }
 
@@ -629,7 +634,7 @@ impl Service {
         }
         if record.cancel_requested {
             record.state = JobState::Cancelled;
-            self.persist_terminal(job, &record);
+            self.persist_terminal(job, &mut record);
             return None;
         }
         let now = Instant::now();
@@ -637,9 +642,15 @@ impl Service {
             record.state = JobState::Failed;
             record.error = Some("deadline exceeded".to_string());
             record.abort_reason = Some("timeout".to_string());
-            self.persist_terminal(job, &record);
+            self.persist_terminal(job, &mut record);
             return None;
         }
+        let request = Arc::clone(
+            record
+                .request
+                .as_ref()
+                .expect("an open job holds its request"),
+        );
         record.state = JobState::Running;
         record.attempts += 1;
         record.epoch += 1;
@@ -648,6 +659,7 @@ impl Service {
         record.retry_at = None;
         record.attempt_started = Some(now);
         Some(AttemptInfo {
+            request,
             epoch: record.epoch,
             number: record.attempts,
             token: record.cancel.clone(),
@@ -670,16 +682,16 @@ impl Service {
             Err(message) => {
                 record.state = JobState::Failed;
                 record.error = Some(message);
-                self.persist_terminal(job, &record);
+                self.persist_terminal(job, &mut record);
             }
             Ok((report, stopped)) => {
                 if !stopped {
                     record.state = JobState::Done;
                     record.report = Some(report);
-                    self.persist_terminal(job, &record);
+                    self.persist_terminal(job, &mut record);
                 } else if record.cancel_requested {
                     record.state = JobState::Cancelled;
-                    self.persist_terminal(job, &record);
+                    self.persist_terminal(job, &mut record);
                 } else if self.hard_stop.load(Ordering::SeqCst) {
                     // Shutdown interrupted the attempt: park the job; its
                     // journal re-enqueues it on the next start.
@@ -688,7 +700,7 @@ impl Service {
                     record.state = JobState::Failed;
                     record.error = Some("deadline exceeded".to_string());
                     record.abort_reason = Some("timeout".to_string());
-                    self.persist_terminal(job, &record);
+                    self.persist_terminal(job, &mut record);
                 } else {
                     // The watchdog cancelled a stalled attempt: retry.
                     self.retryable_failure(job, &mut record, "timeout", "attempt stalled");
@@ -827,6 +839,7 @@ fn worker_main(service: Arc<Service>) {
 
 fn fresh_record() -> JobRecord {
     JobRecord {
+        request: None,
         state: JobState::Queued,
         attempts: 0,
         epoch: 0,
@@ -869,18 +882,6 @@ fn job_json(job: &Job, record: &JobRecord) -> JsonValue {
     JsonValue::Object(fields)
 }
 
-fn design_of(request: &JobRequest) -> Result<NetlistDesign, String> {
-    let netlist =
-        parse_netlist(&request.circuit, request.format).map_err(|e| format!("circuit: {e}"))?;
-    match &request.constraints {
-        Some(text) => {
-            let spec = ConstraintSpec::parse(text).map_err(|e| format!("constraints: {e}"))?;
-            NetlistDesign::with_constraints(netlist, &spec).map_err(|e| format!("constraints: {e}"))
-        }
-        None => Ok(NetlistDesign::new(netlist)),
-    }
-}
-
 fn flow_config(request: &JobRequest, attempt: Option<&AttemptInfo>) -> FlowConfig {
     let config = &request.config;
     FlowConfig {
@@ -909,7 +910,7 @@ fn flow_config(request: &JobRequest, attempt: Option<&AttemptInfo>) -> FlowConfi
 /// the result cache shares the key.
 fn fingerprint_of(request: &JobRequest) -> Result<u64, String> {
     IdentificationFlow::new(flow_config(request, None))
-        .campaign_fingerprint(&design_of(request)?)
+        .campaign_fingerprint(&request.design)
         .map_err(|e| format!("constraint discovery: {e}"))
 }
 
@@ -918,11 +919,10 @@ fn fingerprint_of(request: &JobRequest) -> Result<u64, String> {
 /// watchdog, hard stop, the monitor's deadline), or faults timed out with
 /// the job deadline already past. Any other timeout abort comes from the
 /// per-fault limit the job asked for and is part of a concluded report.
-fn execute(job: &Arc<Job>, attempt: &AttemptInfo) -> Result<(JsonValue, bool), String> {
-    let design = design_of(&job.request)?;
-    let config = flow_config(&job.request, Some(attempt));
+fn execute(attempt: &AttemptInfo) -> Result<(JsonValue, bool), String> {
+    let config = flow_config(&attempt.request, Some(attempt));
     let report = IdentificationFlow::new(config)
-        .run(&design)
+        .run(&attempt.request.design)
         .map_err(|e| format!("identification flow: {e}"))?;
     let timed_out = report
         .engine_breakdown
@@ -946,16 +946,201 @@ impl JobRequest {
             && self.config.max_proof.is_none()
             && self.config.fault_timeout.is_none()
     }
+}
 
-    /// An inert request for jobs whose journal was lost; never executed
-    /// (the record is terminal before registration).
-    pub(crate) fn placeholder() -> JobRequest {
-        JobRequest {
-            circuit: String::new(),
-            format: netlist::frontend::Format::Bench,
-            constraints: None,
-            config: crate::job::JobProofConfig::default(),
-            chaos: None,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const C17: &str = "INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n10 = NAND(1, 3)\n11 = NAND(3, 6)\n16 = NAND(2, 11)\n19 = NAND(11, 7)\n22 = NAND(10, 16)\n23 = NAND(16, 19)\n";
+
+    const STALL: &str = "\"chaos\": {\"stall_attempts\": 1, \"stall_ms\": 30000}";
+
+    fn c17_body(extra: &str) -> String {
+        format!("{{\"circuit\": {}{extra}}}", JsonValue::string(C17))
+    }
+
+    /// A self-cleaning per-test state directory.
+    struct StateDir(PathBuf);
+
+    impl StateDir {
+        fn new(tag: &str) -> StateDir {
+            let dir =
+                std::env::temp_dir().join(format!("untestabled-unit-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            StateDir(dir)
         }
+
+        /// One worker, fast retries, chaos sections accepted.
+        fn config(&self) -> ServiceConfig {
+            ServiceConfig {
+                state_dir: self.0.clone(),
+                workers: 1,
+                backoff: Duration::from_millis(1),
+                enable_chaos: true,
+                ..ServiceConfig::default()
+            }
+        }
+    }
+
+    impl Drop for StateDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn accept(service: &Service, body: &str) -> u64 {
+        service.submit(body).expect("submission accepted").0
+    }
+
+    /// Reads a field of `id`'s record.
+    fn read<T>(service: &Service, id: u64, field: impl FnOnce(&JobRecord) -> T) -> T {
+        field(&service.job(id).unwrap().record.lock().unwrap())
+    }
+
+    fn holds_request(service: &Service, id: u64) -> bool {
+        read(service, id, |record| record.request.is_some())
+    }
+
+    fn error_of(service: &Service, id: u64) -> String {
+        read(service, id, |record| {
+            record.error.clone().unwrap_or_default()
+        })
+    }
+
+    fn wait_for(service: &Service, id: u64, state: JobState) {
+        let started = Instant::now();
+        loop {
+            let current = read(service, id, |record| record.state);
+            if current == state {
+                return;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "job {id} is {current:?}, not {state:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Hard shutdown, waiting for the drain to release the workers.
+    fn stop(service: &Arc<Service>) {
+        service.request_shutdown(true);
+        let started = Instant::now();
+        while !service.is_shutdown_complete() {
+            assert!(started.elapsed() < Duration::from_secs(30), "drain hung");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_zero_queue_capacity_still_accepts_a_job() {
+        let dir = StateDir::new("capacity-zero");
+        let service = Service::start(ServiceConfig {
+            queue_capacity: 0,
+            ..dir.config()
+        })
+        .unwrap();
+        let (id, state, cached) = service.submit(&c17_body("")).unwrap();
+        assert_eq!((state, cached), (JobState::Queued, false));
+        wait_for(&service, id, JobState::Done);
+        stop(&service);
+    }
+
+    #[test]
+    fn every_terminal_path_drops_the_request() {
+        let dir = StateDir::new("drop-request");
+        let service = Service::start(ServiceConfig {
+            max_retries: 1,
+            ..dir.config()
+        })
+        .unwrap();
+
+        let done = accept(&service, &c17_body(""));
+        wait_for(&service, done, JobState::Done);
+        let (cached, state, hit) = service.submit(&c17_body("")).unwrap();
+        assert_eq!((state, hit), (JobState::Done, true));
+
+        // The stall pins the one worker, so the next job stays queued.
+        let stalled = accept(&service, &c17_body(&format!(", {STALL}")));
+        wait_for(&service, stalled, JobState::Running);
+        assert!(holds_request(&service, stalled));
+        let queued = accept(&service, &c17_body(", \"config\": {\"backtrack\": 7}"));
+        assert!(holds_request(&service, queued));
+        service.cancel(queued).unwrap();
+        assert_eq!(read(&service, queued, |r| r.state), JobState::Cancelled);
+        service.cancel(stalled).unwrap();
+        wait_for(&service, stalled, JobState::Cancelled);
+
+        let late = accept(
+            &service,
+            &c17_body(&format!(", \"config\": {{\"deadline_ms\": 50}}, {STALL}")),
+        );
+        wait_for(&service, late, JobState::Failed);
+        assert_eq!(error_of(&service, late), "deadline exceeded");
+
+        let poison = accept(
+            &service,
+            &c17_body(", \"chaos\": {\"panic_attempts\": 1000000}"),
+        );
+        wait_for(&service, poison, JobState::Failed);
+        assert!(error_of(&service, poison).contains("retry budget exhausted"));
+
+        for id in [done, cached, queued, stalled, late, poison] {
+            assert!(!holds_request(&service, id), "job {id} holds its request");
+        }
+        stop(&service);
+    }
+
+    #[test]
+    fn a_concluded_job_restarts_from_its_result_alone() {
+        let dir = StateDir::new("restart-concluded");
+        let service = Service::start(dir.config()).unwrap();
+        let done = accept(&service, &c17_body(""));
+        wait_for(&service, done, JobState::Done);
+        let cached = accept(&service, &c17_body(""));
+        let late = accept(
+            &service,
+            &c17_body(", \"config\": {\"backtrack\": 7, \"deadline_ms\": 0}"),
+        );
+        wait_for(&service, late, JobState::Failed);
+        let ids = [done, cached, late];
+        let before = ids.map(|id| service.status_json(id).unwrap());
+        stop(&service);
+
+        // A restart does not read a concluded job's request, so one that is
+        // gone or garbage changes nothing.
+        std::fs::remove_file(service.job_dir(done).join("request.json")).unwrap();
+        std::fs::write(service.job_dir(cached).join("request.json"), "{not json").unwrap();
+
+        let restarted = Service::start(dir.config()).unwrap();
+        for (id, status) in ids.into_iter().zip(&before) {
+            assert_eq!(restarted.status_json(id).as_ref(), Some(status));
+            assert!(!holds_request(&restarted, id));
+        }
+        assert_eq!(restarted.open_jobs(), 0);
+        assert!(restarted.queue.is_empty());
+        stop(&restarted);
+    }
+
+    #[test]
+    fn a_job_with_neither_journal_comes_back_failed() {
+        let dir = StateDir::new("restart-lost");
+        let jobs = dir.0.join("jobs");
+        std::fs::create_dir_all(jobs.join("3")).unwrap();
+        std::fs::create_dir_all(jobs.join("5")).unwrap();
+        std::fs::write(jobs.join("5").join("result.json"), "{\"state\": \"do").unwrap();
+
+        let service = Service::start(dir.config()).unwrap();
+        for id in [3, 5] {
+            assert_eq!(read(&service, id, |r| r.state), JobState::Failed);
+            let error = error_of(&service, id);
+            assert!(error.starts_with("job state lost after restart"), "{error}");
+            let journal = std::fs::read_to_string(service.job_dir(id).join("result.json"));
+            assert_eq!(journal.ok(), service.status_json(id));
+        }
+        assert!(service.queue.is_empty());
+        assert_eq!(accept(&service, &c17_body("")), 6);
+        stop(&service);
     }
 }
